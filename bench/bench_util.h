@@ -112,17 +112,12 @@ inline void MustCall(core::ConfideSystem* sys, core::Client* client,
 inline void DumpMetrics(const std::string& default_path = "metrics.json") {
   const char* env = std::getenv("CONFIDE_METRICS_OUT");
   std::string path = (env != nullptr && env[0] != '\0') ? env : default_path;
-  std::string json = metrics::MetricsRegistry::Global().Snapshot().ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "metrics: cannot open %s for writing\n", path.c_str());
+  Status dumped = metrics::DumpSnapshot(path);
+  if (!dumped.ok()) {
+    std::fprintf(stderr, "metrics: %s\n", dumped.message().c_str());
     return;
   }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-  std::fprintf(stderr, "metrics: wrote %s (%zu bytes)\n", path.c_str(),
-               json.size() + 1);
+  std::fprintf(stderr, "metrics: wrote %s\n", path.c_str());
 }
 
 }  // namespace confide::bench

@@ -69,6 +69,42 @@ std::string TxIndexKey(const crypto::Hash256& tx_hash) {
   return "txix/" + HexEncode(crypto::HashView(tx_hash));
 }
 
+/// The byte-budget packer behind ProposeBlock and pipeline stage 2: fills
+/// the block at `height` on `parent` up to `max_bytes` of transactions
+/// (always at least one when any is available) and computes its tx_root.
+/// `*carry`, when set, goes first; `next(&tx)` yields the rest and returns
+/// false once its source is empty. The first transaction that does not
+/// fit is left in `*carry` to open the next block.
+template <typename NextTx>
+Block PackBlock(uint64_t height, const crypto::Hash256& parent, size_t max_bytes,
+                std::optional<Transaction>* carry, NextTx&& next) {
+  Block block;
+  block.header.height = height;
+  block.header.parent_hash = parent;
+  block.header.timestamp_ns = height;  // deterministic
+  std::vector<Bytes> leaves;
+  size_t bytes = 0;
+  for (;;) {
+    Transaction tx;
+    if (carry->has_value()) {
+      tx = std::move(**carry);
+      carry->reset();
+    } else if (!next(&tx)) {
+      break;
+    }
+    Bytes wire = tx.Serialize();
+    if (!block.transactions.empty() && bytes + wire.size() > max_bytes) {
+      *carry = std::move(tx);
+      break;
+    }
+    bytes += wire.size();
+    leaves.push_back(std::move(wire));
+    block.transactions.push_back(std::move(tx));
+  }
+  block.header.tx_root = crypto::MerkleTree(leaves).Root();
+  return block;
+}
+
 }  // namespace
 
 namespace {
@@ -237,31 +273,19 @@ Result<size_t> Node::PreVerify() {
 }
 
 Result<Block> Node::ProposeBlock() {
-  Block block;
-  block.header.height = blocks_->NextHeight();
-  block.header.parent_hash = last_block_hash_;
-  block.header.timestamp_ns = block.header.height;  // deterministic
-
-  size_t bytes = 0;
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    while (!verified_.empty()) {
-      size_t tx_bytes = verified_.front().Serialize().size();
-      if (!block.transactions.empty() && bytes + tx_bytes > options_.block_max_bytes) {
-        break;
-      }
-      block.transactions.push_back(std::move(verified_.front()));
-      verified_.pop_front();
-      bytes += tx_bytes;
-    }
-    NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
-  }
-
-  std::vector<Bytes> leaves;
-  for (const Transaction& tx : block.transactions) {
-    leaves.push_back(tx.Serialize());
-  }
-  block.header.tx_root = crypto::MerkleTree(leaves).Root();
+  std::optional<Transaction> carry;
+  Block block = PackBlock(blocks_->NextHeight(), last_block_hash_,
+                          options_.block_max_bytes, &carry,
+                          [this](Transaction* tx) {
+                            std::lock_guard<std::mutex> lock(pool_mutex_);
+                            if (verified_.empty()) return false;
+                            *tx = std::move(verified_.front());
+                            verified_.pop_front();
+                            return true;
+                          });
+  std::lock_guard<std::mutex> lock(pool_mutex_);
+  if (carry.has_value()) verified_.push_front(std::move(*carry));
+  NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
   return block;
 }
 
@@ -273,18 +297,17 @@ void Node::RequeueVerified(std::vector<Transaction> txs) {
   NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
 }
 
-Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
-  if (fault::FaultInjector::Global().ShouldFail("fault.chain.apply_block")) {
-    return Status::Unavailable("node: injected apply-block failure");
-  }
-  if (block.header.height != blocks_->NextHeight()) {
-    return Status::InvalidArgument("node: block height mismatch");
-  }
-  if (block.header.height > 0 && block.header.parent_hash != last_block_hash_) {
-    return Status::InvalidArgument("node: parent hash mismatch");
-  }
-
+/// A block between the two lifecycle steps: executed, its header completed
+/// (receipt and state roots) and its whole commit staged in one batch.
+struct Node::StagedBlock {
+  Block block;
+  crypto::Hash256 block_hash{};
+  storage::WriteBatch batch;
   std::vector<Receipt> receipts;
+};
+
+Status Node::ExecuteAndStage(StagedBlock* staged) {
+  Block& block = staged->block;
   {
     metrics::ScopedLatencyTimer timer(NodeMetrics::Get().block_execute_latency);
     auto executed =
@@ -293,72 +316,89 @@ Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
       state_->Discard();  // partial overlay from failed groups
       return executed.status();
     }
-    receipts = std::move(*executed);
+    staged->receipts = std::move(*executed);
   }
-  NodeMetrics::Get().blocks->Increment();
-  NodeMetrics::Get().block_txs->Increment(block.transactions.size());
-  NodeMetrics::Get().txs_per_block->Observe(block.transactions.size());
 
   // Receipts, the tx→block index, the state writes and the block itself
   // land in ONE batch: the store applies a batch atomically (single WAL
   // record), so any write failure — injected or real — leaves the chain
   // exactly at the previous block.
-  storage::WriteBatch batch;
-  for (size_t i = 0; i < receipts.size(); ++i) {
-    const crypto::Hash256 tx_hash = block.transactions[i].Hash();
-    receipts[i].tx_hash = tx_hash;
-    uint8_t height_be[8];
-    StoreBe64(height_be, block.header.height);
-    batch.Put(ReceiptKey(tx_hash), receipts[i].Serialize());
-    batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
-  }
-
+  uint8_t height_be[8];
+  StoreBe64(height_be, block.header.height);
   std::vector<Bytes> receipt_leaves;
-  for (const Receipt& receipt : receipts) {
-    receipt_leaves.push_back(receipt.Serialize());
+  receipt_leaves.reserve(staged->receipts.size());
+  for (size_t i = 0; i < staged->receipts.size(); ++i) {
+    const crypto::Hash256 tx_hash = block.transactions[i].Hash();
+    staged->receipts[i].tx_hash = tx_hash;
+    Bytes wire = staged->receipts[i].Serialize();
+    staged->batch.Put(ReceiptKey(tx_hash), wire);
+    staged->batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
+    receipt_leaves.push_back(std::move(wire));
   }
-
-  Block stored = block;
-  stored.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
-  crypto::Hash256 new_root;
-  state_->StageCommit(&batch, &new_root);
-  stored.header.state_root = new_root;
-
-  crypto::Hash256 block_hash = stored.header.Hash();
-  Status staged = blocks_->StageAppend(stored.header.height, block_hash,
-                                       stored.Serialize(), &batch);
-  if (!staged.ok()) {
-    state_->RollbackPending();
-    return staged;
-  }
-  Status written = kv_->Write(batch);
-  if (written.ok()) CommitWriteWait(options_.commit_write_latency_ns);
-  if (written.ok() && options_.sync_commits) written = kv_->Sync();
-  if (!written.ok()) {
-    state_->RollbackPending();
-    blocks_->RollbackStaged();
-    return written;
-  }
-  state_->FinalizeCommit(new_root);
-  blocks_->FinalizeAppend();
-  last_block_hash_ = block_hash;
-  MaybeCheckpointTip(blocks_->NextHeight(), block_hash, new_root);
-  return receipts;
+  block.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
+  state_->StageCommit(&staged->batch, &block.header.state_root);
+  staged->block_hash = block.header.Hash();
+  return blocks_->StageAppend(block.header.height, staged->block_hash,
+                              block.Serialize(), &staged->batch);
 }
 
-namespace {
+Status Node::CommitGroup(std::vector<StagedBlock>* group, size_t* committed) {
+  *committed = 0;
+  for (StagedBlock& staged : *group) {
+    CONFIDE_RETURN_NOT_OK(kv_->Write(staged.batch));
+    // The commit rule: a block whose batch landed is final. Height, tip
+    // hash and state root advance now, so the in-memory view never
+    // trails what the store holds — and a block that is in the store is
+    // never executed again, even if the fsync below fails.
+    const crypto::Hash256& root = staged.block.header.state_root;
+    state_->FinalizeCommit(root);
+    blocks_->FinalizeAppend();
+    last_block_hash_ = staged.block_hash;
+    // The commit step is the only writer of the backing store, so a
+    // snapshot taken here sees exactly the committed prefix.
+    MaybeCheckpointTip(blocks_->NextHeight(), staged.block_hash, root);
+    const size_t txs = staged.block.transactions.size();
+    NodeMetrics::Get().blocks->Increment();
+    NodeMetrics::Get().block_txs->Increment(txs);
+    NodeMetrics::Get().txs_per_block->Observe(double(txs));
+    ++*committed;
+  }
+  // One device write + fsync covers the whole group (group commit):
+  // consecutive blocks' batches share a single ~6 ms SSD flush, and the
+  // WAL counts the coalesced appends under
+  // storage.wal.group_commit.batched.
+  CommitWriteWait(options_.commit_write_latency_ns);
+  return options_.sync_commits ? kv_->Sync() : Status::OK();
+}
 
-/// A block that finished stage 2 (executed + staged) and waits for the
-/// commit stage.
-struct StagedBlock {
-  Block stored;
-  crypto::Hash256 block_hash{};
-  crypto::Hash256 new_root{};
-  storage::WriteBatch batch;
-  std::vector<Receipt> receipts;
-};
+Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
+  if (fault::FaultInjector::Global().ShouldFail("fault.chain.apply_block")) {
+    return Status::Unavailable("node: injected apply-block failure");
+  }
+  if (block.header.height < blocks_->NextHeight()) {
+    return Status::AlreadyExists("node: block already applied");
+  }
+  if (block.header.height != blocks_->NextHeight()) {
+    return Status::InvalidArgument("node: block height mismatch");
+  }
+  if (block.header.height > 0 && block.header.parent_hash != last_block_hash_) {
+    return Status::InvalidArgument("node: parent hash mismatch");
+  }
 
-}  // namespace
+  std::vector<StagedBlock> group(1);
+  group[0].block = block;
+  size_t committed = 0;
+  Status status = ExecuteAndStage(&group[0]);
+  if (status.ok()) status = CommitGroup(&group, &committed);
+  if (committed == 0) {
+    // Nothing landed: drop the staged state and append, so a retry
+    // re-executes from the previous block.
+    state_->RollbackPending();
+    blocks_->RollbackStaged();
+  }
+  if (!status.ok()) return status;
+  return std::move(group[0].receipts);
+}
 
 Result<std::vector<Receipt>> Node::RunPipelined() {
   if (options_.pipeline_depth == 0 || pool_ == nullptr) {
@@ -393,7 +433,7 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
   }
 
   BoundedQueue<Transaction> verified_queue(size_t(depth) * 64);
-  BoundedQueue<std::unique_ptr<StagedBlock>> staged_queue(depth);
+  BoundedQueue<StagedBlock> staged_queue(depth);
 
   std::atomic<bool> failed{false};
   std::mutex error_mu;
@@ -475,71 +515,40 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
     verified_queue.Close();
   });
 
-  // --- Stage 3: group commit + finalize (pool task) ----------------------
+  // --- Stage 3: the commit step, one group at a time (pool task) ---------
   std::vector<Receipt> committed_receipts;
-  crypto::Hash256 durable_tip = last_block_hash_;
   std::future<void> stage3 = pool_->Submit([&] {
-    auto abort_group = [&](std::vector<std::unique_ptr<StagedBlock>>* group,
-                           size_t from) {
-      std::lock_guard<std::mutex> lock(aborted_mu);
-      for (size_t b = from; b < group->size(); ++b) {
-        for (Transaction& tx : (*group)[b]->stored.transactions) {
-          aborted_txs.push_back(std::move(tx));
-        }
-      }
-    };
     try {
       for (;;) {
-        std::unique_ptr<StagedBlock> first;
-        if (!staged_queue.Pop(&first)) break;
+        StagedBlock next;
+        if (!staged_queue.Pop(&next)) break;
         // Drain whatever else is already staged: these blocks commit as
         // one group and their WAL records share a single fsync.
-        std::vector<std::unique_ptr<StagedBlock>> group;
-        group.push_back(std::move(first));
-        std::unique_ptr<StagedBlock> more;
-        while (group.size() < depth && staged_queue.TryPop(&more)) {
-          group.push_back(std::move(more));
-        }
+        std::vector<StagedBlock> group;
+        do {
+          group.push_back(std::move(next));
+        } while (group.size() < depth && staged_queue.TryPop(&next));
         pm.staged_queue->Set(int64_t(staged_queue.Size()));
         metrics::ScopedLatencyTimer timer(pm.commit_latency);
-        if (fault::FaultInjector::Global().ShouldFail(
-                "fault.chain.pipeline.commit")) {
-          abort_group(&group, 0);
-          fail(Status::Unavailable("pipeline: injected commit failure"));
-          break;
-        }
-        Status status = Status::OK();
-        size_t written = 0;
-        for (auto& block : group) {
-          status = kv_->Write(block->batch);
-          if (!status.ok()) break;
-          // The batch landed; finalize immediately so the in-memory view
-          // (roots, height cursors) never trails what the store holds.
-          state_->FinalizeCommit(block->new_root);
-          blocks_->FinalizeAppend();
-          durable_tip = block->block_hash;
-          // Stage 3 is the only writer of the backing store, so a
-          // snapshot taken here sees exactly the committed prefix.
-          MaybeCheckpointTip(blocks_->NextHeight(), block->block_hash,
-                             block->new_root);
-          NodeMetrics::Get().blocks->Increment();
-          NodeMetrics::Get().block_txs->Increment(block->stored.transactions.size());
-          NodeMetrics::Get().txs_per_block->Observe(
-              double(block->stored.transactions.size()));
-          pm.blocks->Increment();
-          for (Receipt& receipt : block->receipts) {
-            committed_receipts.push_back(std::move(receipt));
+        size_t committed = 0;
+        Status status =
+            fault::FaultInjector::Global().ShouldFail("fault.chain.pipeline.commit")
+                ? Status::Unavailable("pipeline: injected commit failure")
+                : CommitGroup(&group, &committed);
+        pm.blocks->Increment(committed);
+        for (size_t b = 0; b < group.size(); ++b) {
+          if (b < committed) {
+            for (Receipt& receipt : group[b].receipts) {
+              committed_receipts.push_back(std::move(receipt));
+            }
+          } else {
+            std::lock_guard<std::mutex> lock(aborted_mu);
+            for (Transaction& tx : group[b].block.transactions) {
+              aborted_txs.push_back(std::move(tx));
+            }
           }
-          ++written;
         }
-        // One device write + fsync covers the whole group (group commit):
-        // consecutive blocks' batches share a single ~6 ms SSD flush, and
-        // the WAL counts the coalesced appends under
-        // storage.wal.group_commit.batched.
-        if (status.ok()) CommitWriteWait(options_.commit_write_latency_ns);
-        if (status.ok() && options_.sync_commits) status = kv_->Sync();
         if (!status.ok()) {
-          abort_group(&group, written);
           fail(status);
           break;
         }
@@ -550,7 +559,7 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
     }
   });
 
-  // --- Stage 2: propose + execute + stage (this thread) ------------------
+  // --- Stage 2: pack + the execute/stage step (this thread) --------------
   // Serial across blocks by construction: block N+1's header chains to
   // block N's state/receipt roots, so proposal cannot overlap execution
   // of the same stream — but it overlaps stage 1 and stage 3 freely.
@@ -561,30 +570,15 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
   Status stage2_status = Status::OK();
 
   while (!failed.load()) {
-    Block block;
-    block.header.height = height;
-    block.header.parent_hash = parent;
-    block.header.timestamp_ns = height;  // deterministic
-    size_t bytes = 0;
-    for (;;) {
-      Transaction tx;
-      if (carry.has_value()) {
-        tx = std::move(*carry);
-        carry.reset();
-      } else if (!verified_queue.Pop(&tx)) {
-        break;  // stage 1 finished and the queue drained
-      }
-      pm.verified_queue->Set(int64_t(verified_queue.Size()));
-      size_t tx_bytes = tx.Serialize().size();
-      if (!block.transactions.empty() &&
-          bytes + tx_bytes > options_.block_max_bytes) {
-        carry = std::move(tx);  // overflows this block; opens the next
-        break;
-      }
-      bytes += tx_bytes;
-      block.transactions.push_back(std::move(tx));
-    }
-    if (block.transactions.empty()) break;  // pools drained
+    StagedBlock staged;
+    staged.block = PackBlock(height, parent, options_.block_max_bytes, &carry,
+                             [&](Transaction* tx) {
+                               // false: stage 1 finished and the queue drained
+                               if (!verified_queue.Pop(tx)) return false;
+                               pm.verified_queue->Set(int64_t(verified_queue.Size()));
+                               return true;
+                             });
+    if (staged.block.transactions.empty()) break;  // pools drained
 
     uint64_t stall_ns = 0;
     if (fault::FaultInjector::Global().ShouldFail("fault.chain.pipeline.stall",
@@ -599,58 +593,19 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
     if (fault::FaultInjector::Global().ShouldFail(
             "fault.chain.pipeline.execute")) {
       stage2_status = Status::Unavailable("pipeline: injected execute failure");
-      failed_block_txs = std::move(block.transactions);
+    } else {
+      metrics::ScopedLatencyTimer timer(pm.execute_latency);
+      stage2_status = ExecuteAndStage(&staged);
+    }
+    if (!stage2_status.ok()) {
+      failed_block_txs = std::move(staged.block.transactions);
       break;
     }
-
-    metrics::ScopedLatencyTimer timer(pm.execute_latency);
-    std::vector<Bytes> leaves;
-    for (const Transaction& tx : block.transactions) {
-      leaves.push_back(tx.Serialize());
-    }
-    block.header.tx_root = crypto::MerkleTree(leaves).Root();
-
-    auto executed =
-        executor_.ExecuteBlock(block.transactions, engines_, state_.get());
-    if (!executed.ok()) {
-      state_->Discard();  // partial overlay from failed groups
-      stage2_status = executed.status();
-      failed_block_txs = std::move(block.transactions);
-      break;
-    }
-
-    auto staged = std::make_unique<StagedBlock>();
-    staged->receipts = std::move(*executed);
-    for (size_t i = 0; i < staged->receipts.size(); ++i) {
-      const crypto::Hash256 tx_hash = block.transactions[i].Hash();
-      staged->receipts[i].tx_hash = tx_hash;
-      uint8_t height_be[8];
-      StoreBe64(height_be, height);
-      staged->batch.Put(ReceiptKey(tx_hash), staged->receipts[i].Serialize());
-      staged->batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
-    }
-    std::vector<Bytes> receipt_leaves;
-    for (const Receipt& receipt : staged->receipts) {
-      receipt_leaves.push_back(receipt.Serialize());
-    }
-    staged->stored = std::move(block);
-    staged->stored.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
-    state_->StageCommit(&staged->batch, &staged->new_root);
-    staged->stored.header.state_root = staged->new_root;
-    staged->block_hash = staged->stored.header.Hash();
-    Status append = blocks_->StageAppend(height, staged->block_hash,
-                                         staged->stored.Serialize(),
-                                         &staged->batch);
-    if (!append.ok()) {
-      stage2_status = append;
-      failed_block_txs = std::move(staged->stored.transactions);
-      break;
-    }
-    parent = staged->block_hash;
+    parent = staged.block_hash;
     ++height;
     if (!staged_queue.Push(&staged)) {
       // Commit stage failed and closed the queue; this block never commits.
-      failed_block_txs = std::move(staged->stored.transactions);
+      failed_block_txs = std::move(staged.block.transactions);
       break;
     }
     pm.staged_queue->Set(int64_t(staged_queue.Size()));
@@ -663,7 +618,6 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
   stage1.get();
 
   // The committed prefix is final; everything staged past it unwinds.
-  last_block_hash_ = durable_tip;
   state_->RollbackPending();
   blocks_->RollbackStaged();
 
@@ -678,9 +632,9 @@ Result<std::vector<Receipt>> Node::RunPipelined() {
       std::lock_guard<std::mutex> lock(aborted_mu);
       for (Transaction& tx : aborted_txs) requeue.push_back(std::move(tx));
     }
-    std::unique_ptr<StagedBlock> orphan;
+    StagedBlock orphan;
     while (staged_queue.TryPop(&orphan)) {
-      for (Transaction& tx : orphan->stored.transactions) {
+      for (Transaction& tx : orphan.block.transactions) {
         requeue.push_back(std::move(tx));
       }
     }

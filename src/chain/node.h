@@ -88,16 +88,24 @@ class Node {
   void RequeueVerified(std::vector<Transaction> txs);
 
   /// \brief Executes and commits a block: state writes, receipts, block
-  /// storage — all folded into one atomic KV write, so an injected
-  /// storage fault (or any write failure) surfaces as a clean error with
-  /// no partial commit; the caller can retry the whole block. Returns
-  /// the receipts in order.
+  /// storage — all folded into one atomic KV write. Returns the receipts
+  /// in order.
+  ///
+  /// The commit rule: once the block's batch has landed in the store the
+  /// block is final — height, tip hash and state root advance. A failure
+  /// before that (execution, an injected or real write fault) leaves the
+  /// node exactly at the previous block, and the caller may retry the
+  /// same block. A failure after it (the fsync under `sync_commits`) is
+  /// still returned, but the block stays applied: re-applying it is
+  /// refused with AlreadyExists and never executes its transactions a
+  /// second time.
   Result<std::vector<Receipt>> ApplyBlock(const Block& block);
 
   /// \brief Drains the transaction pools through the three-stage block
   /// pipeline: stage 1 batch-pre-verifies on the shared pool, stage 2
-  /// (this thread) proposes + executes + stages blocks, stage 3 writes
-  /// and finalizes them, one WAL fsync per commit group. Block N+1
+  /// (this thread) packs blocks and runs the execute/stage step, stage 3
+  /// runs the commit step, one WAL fsync per commit group — the same two
+  /// steps ApplyBlock runs, under the same commit rule. Block N+1
   /// pre-verifies while block N executes and block N−1 commits; bounded
   /// queues (capacity `pipeline_depth`) provide backpressure. Every
   /// block still lands as one atomic WriteBatch. On failure the chain
@@ -143,6 +151,22 @@ class Node {
  private:
   Node(NodeOptions options, EngineSet engines,
        std::shared_ptr<storage::KvStore> kv);
+
+  struct StagedBlock;
+
+  /// \brief The execute/stage step: runs `staged->block` on the newest
+  /// staged state, stores its receipts, sets its receipt and state roots,
+  /// and stages receipts, tx index, state writes and block body into
+  /// `staged->batch`. Writes nothing. On failure the caller unwinds the
+  /// staged state (RollbackPending/RollbackStaged) once nothing in
+  /// flight still needs it.
+  Status ExecuteAndStage(StagedBlock* staged);
+
+  /// \brief The commit step: writes each staged block's batch in order and
+  /// finalizes it as soon as it lands (the commit rule, see ApplyBlock),
+  /// then pays one commit wait and one optional fsync for the group.
+  /// `*committed` counts the blocks finalized, also on failure.
+  Status CommitGroup(std::vector<StagedBlock>* group, size_t* committed);
 
   /// \brief Parallel pre-verification of `txs` on the shared pool;
   /// `valid[i]` is set for transactions that passed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 
 namespace confide::metrics {
 
@@ -325,6 +326,19 @@ Result<MetricsSnapshot> MetricsSnapshot::FromJson(std::string_view json) {
   } while (cur.Consume(','));
   if (!cur.Consume('}')) return Status::Corruption("metrics json: expected '}'");
   return snapshot;
+}
+
+Status DumpSnapshot(const std::string& path) {
+  const std::string json = MetricsRegistry::Global().Snapshot().ToJson() + "\n";
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Status::Unavailable("cannot open " + path + " for writing");
+  }
+  const bool written = std::fwrite(json.data(), 1, json.size(), file) == json.size();
+  if (std::fclose(file) != 0 || !written) {
+    return Status::Unavailable("cannot write " + path);
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -164,6 +164,10 @@ inline Histogram* GetHistogram(std::string_view name,
   return MetricsRegistry::Global().GetHistogram(name, std::move(bounds));
 }
 
+/// \brief Writes the global registry's `Snapshot().ToJson()` plus a newline
+/// to `path` (the `metrics.json` dump of benches and daemons).
+Status DumpSnapshot(const std::string& path);
+
 /// \brief RAII timer observing wall nanoseconds into a histogram.
 class ScopedLatencyTimer {
  public:

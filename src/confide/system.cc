@@ -319,28 +319,12 @@ Result<chain::SyncStats> ConfideSystem::SyncFromPeers(
 }
 
 Result<std::vector<chain::Receipt>> ConfideSystem::RunToCompletion() {
-  if (options_.pipeline_depth > 0) {
-    // Pipelined lifecycle: pre-verify, execute and commit overlap across
-    // consecutive blocks on the node's shared thread pool.
-    CONFIDE_ASSIGN_OR_RETURN(std::vector<chain::Receipt> receipts,
-                             node_->RunPipelined());
-    if (!receipts.empty()) CONFIDE_RETURN_NOT_OK(SealStateGeneration());
-    return receipts;
-  }
-  std::vector<chain::Receipt> all;
-  for (;;) {
-    CONFIDE_RETURN_NOT_OK(node_->PreVerify().status());
-    if (node_->VerifiedPoolSize() == 0) break;
-    CONFIDE_ASSIGN_OR_RETURN(chain::Block block, node_->ProposeBlock());
-    if (block.transactions.empty()) break;
-    CONFIDE_ASSIGN_OR_RETURN(std::vector<chain::Receipt> receipts,
-                             node_->ApplyBlock(block));
-    for (chain::Receipt& receipt : receipts) all.push_back(std::move(receipt));
-  }
+  CONFIDE_ASSIGN_OR_RETURN(std::vector<chain::Receipt> receipts,
+                           node_->RunPipelined());
   // Cover the advanced tip under a new sealed freshness generation
   // (no-op when state continuity is off).
-  if (!all.empty()) CONFIDE_RETURN_NOT_OK(SealStateGeneration());
-  return all;
+  if (!receipts.empty()) CONFIDE_RETURN_NOT_OK(SealStateGeneration());
+  return receipts;
 }
 
 }  // namespace confide::core

@@ -97,8 +97,9 @@ class ConfideSystem {
   tee::EnclaveId km_enclave_id() const { return km_id_; }
   bool km_alive() const { return km_alive_; }
 
-  /// \brief Submits, pre-verifies, proposes, and applies until the pools
-  /// drain. Convenience for tests/examples; returns total receipts.
+  /// \brief Drains the pools through Node::RunPipelined (the serial loop
+  /// at pipeline_depth 0), then seals the new tip's freshness generation.
+  /// Convenience for tests/examples; returns total receipts.
   Result<std::vector<chain::Receipt>> RunToCompletion();
 
   /// \brief True while the CS enclave backing the confidential engine is

@@ -117,6 +117,16 @@ const U256 kN = [] {
   return n;
 }();
 
+// (n - 1) / 2: the low-s bound. EcdsaSign normalizes s to at most this
+// value and EcdsaVerify rejects anything above it (malleability guard).
+const U256 kHalfN = [] {
+  U256 half;
+  for (int i = 0; i < 4; ++i) {
+    half.v[i] = (kN.v[i] >> 1) | (i < 3 ? (kN.v[i + 1] << 63) : 0);
+  }
+  return half;
+}();
+
 // 2^256 mod n (= 2^256 - n since n > 2^255).
 const U256 kNComplement = [] {
   U256 zero;
@@ -470,14 +480,7 @@ Result<Signature> EcdsaSign(const PrivateKey& priv, const Hash256& digest) {
     if (s.IsZero()) continue;
 
     // Normalize s to the low half (malleability guard).
-    U256 half_n = kN;
-    // half_n = (n - 1) / 2 computed via right shift of n (n is odd).
-    for (int i = 0; i < 4; ++i) {
-      half_n.v[i] = (kN.v[i] >> 1) | (i < 3 ? (kN.v[i + 1] << 63) : 0);
-    }
-    if (Cmp(s, half_n) > 0) {
-      SubBorrow(kN, s, &s);
-    }
+    if (Cmp(s, kHalfN) > 0) SubBorrow(kN, s, &s);
 
     Signature sig;
     r.ToBytesBe(sig.data());
@@ -495,6 +498,9 @@ bool EcdsaVerify(const PublicKey& pub, const Hash256& digest, const Signature& s
   U256 r = U256::FromBytesBe(sig.data());
   U256 s = U256::FromBytesBe(sig.data() + 32);
   if (!ScalarValid(r) || !ScalarValid(s)) return false;
+  // (r, n - s) verifies whenever (r, s) does; accepting only the low half
+  // gives every message one valid encoding per nonce.
+  if (Cmp(s, kHalfN) > 0) return false;
 
   U256 z = ReduceBytesModN(digest.data());
   U256 s_inv = NInv(s);

@@ -54,7 +54,8 @@ bool IsValidPublicKey(const PublicKey& pub);
 /// reproducible across runs.
 Result<Signature> EcdsaSign(const PrivateKey& priv, const Hash256& digest);
 
-/// \brief Verifies an ECDSA signature over a 32-byte digest.
+/// \brief Verifies an ECDSA signature over a 32-byte digest. Rejects
+/// high-s signatures (s > n/2), which EcdsaSign never produces.
 bool EcdsaVerify(const PublicKey& pub, const Hash256& digest, const Signature& sig);
 
 /// \brief ECDH: SHA-256 of the shared point's X coordinate.

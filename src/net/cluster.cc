@@ -416,22 +416,13 @@ void ClusterNode::TryApplyLocked() {
         it->second.block_wire.empty()) {
       break;
     }
-    auto block = chain::Block::Deserialize(it->second.block_wire);
-    if (!block.ok()) {
-      CONFIDE_LOG(kError, "cluster",
-                  "committed block at seq " + std::to_string(it->first) +
-                      " undecodable: " + block.status().message());
-      pending_.erase(it);
+    Status applied = ApplyWireLocked(it->first, it->second.block_wire);
+    if (!applied.ok()) {
+      // An undecodable entry can never apply: drop it so a retransmission
+      // or gap fetch can fill the seq.
+      if (applied.code() == StatusCode::kCorruption) pending_.erase(it);
       break;
     }
-    auto receipts = node->ApplyBlock(*block);
-    if (!receipts.ok()) {
-      CONFIDE_LOG(kError, "cluster",
-                  "apply at seq " + std::to_string(it->first) +
-                      " failed: " + receipts.status().message());
-      break;
-    }
-    ClusterMetrics::Get().applied->Increment();
     pending_.erase(it);
   }
   // Drop stale entries a retransmission or late vote left behind.
@@ -439,6 +430,22 @@ void ClusterNode::TryApplyLocked() {
     pending_.erase(pending_.begin());
   }
   cv_.notify_all();
+}
+
+Status ClusterNode::ApplyWireLocked(uint64_t seq, ByteView wire) {
+  auto block = chain::Block::Deserialize(wire);
+  Status status =
+      block.ok() ? system_->node()->ApplyBlock(*block).status()
+                 : Status::Corruption("undecodable block: " +
+                                      block.status().message());
+  if (!status.ok()) {
+    CONFIDE_LOG(kError, "cluster",
+                "apply at seq " + std::to_string(seq) +
+                    " failed: " + status.message());
+    return status;
+  }
+  ClusterMetrics::Get().applied->Increment();
+  return Status::OK();
 }
 
 std::optional<OwnedFrame> ClusterNode::OnFetchBlocks(ByteView body) {
@@ -489,16 +496,7 @@ void ClusterNode::OnBlocksReply(ByteView body) {
     if (!wire.ok()) break;
     const uint64_t height = *from_h + i;
     if (height < node->Height()) continue;  // already have it
-    auto block = chain::Block::Deserialize(*wire);
-    if (!block.ok()) break;
-    auto receipts = node->ApplyBlock(*block);
-    if (!receipts.ok()) {
-      CONFIDE_LOG(kError, "cluster",
-                  "catch-up apply at " + std::to_string(height) +
-                      " failed: " + receipts.status().message());
-      break;
-    }
-    ClusterMetrics::Get().applied->Increment();
+    if (!ApplyWireLocked(height, *wire).ok()) break;
     ++applied;
   }
   if (applied > 0) {

@@ -186,6 +186,10 @@ class ClusterNode {
   void MaybeAdvanceLocked(uint64_t seq);
   /// \brief Applies committed pending blocks in seq order from the tip.
   void TryApplyLocked();
+  /// \brief The one place a replicated block enters the node: decodes
+  /// `wire` and runs Node::ApplyBlock on it, logging any failure. An
+  /// undecodable wire is reported as Corruption.
+  Status ApplyWireLocked(uint64_t seq, ByteView wire);
   /// \brief Issues one gap-repair kFetchBlocks [Height(), seq) to `peer`
   /// when seq is past the tip, the tip block is missing, and no fetch is
   /// already outstanding. Unlocks `lock` around the send.

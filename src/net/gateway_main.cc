@@ -19,20 +19,6 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
 
-void DumpMetricsTo(const std::string& path) {
-  if (path.empty()) return;
-  const std::string json =
-      confide::metrics::MetricsRegistry::Global().Snapshot().ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    std::fprintf(stderr, "confide_gateway: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fputc('\n', file);
-  std::fclose(file);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -67,6 +53,11 @@ int main(int argc, char** argv) {
   }
 
   gateway.Stop();
-  DumpMetricsTo(cfg->metrics_out);
+  if (!cfg->metrics_out.empty()) {
+    Status dumped = metrics::DumpSnapshot(cfg->metrics_out);
+    if (!dumped.ok()) {
+      std::fprintf(stderr, "confide_gateway: %s\n", dumped.message().c_str());
+    }
+  }
   return 0;
 }

@@ -454,13 +454,18 @@ void LsmKvStore::MaybeScheduleCompactionLocked() {
   compaction_inflight_ = true;
   compaction_future_ = options_.compaction_pool->Submit([this] {
     std::unique_lock<std::mutex> lock(mutex_);
-    CompactWithRetries(&lock);
+    // Flushes that cross the threshold while this task merges find it in
+    // flight and schedule nothing, so keep merging until the run count is
+    // back within bound — or until an attempt gives up, leaving the runs
+    // for the next flush to re-trigger.
+    while (runs_.size() > options_.max_runs && CompactWithRetries(&lock)) {
+    }
     compaction_inflight_ = false;
     compaction_cv_.notify_all();
   });
 }
 
-void LsmKvStore::CompactWithRetries(std::unique_lock<std::mutex>* lock) {
+bool LsmKvStore::CompactWithRetries(std::unique_lock<std::mutex>* lock) {
   // Compaction is maintenance: an attempt that trips a fault site is
   // retried, and when a later attempt succeeds the site is recorded as
   // recovered. An exhausted budget (or a genuine IO error) just leaves
@@ -475,11 +480,12 @@ void LsmKvStore::CompactWithRetries(std::unique_lock<std::mutex>* lock) {
       for (const std::string& recovered : tripped) {
         fault::NoteRecovered(recovered);
       }
-      return;
+      return true;
     }
-    if (site.empty()) return;  // real IO error: defer to the next trigger
+    if (site.empty()) return false;  // real IO error: defer to the next trigger
     tripped.push_back(site);
   }
+  return false;
 }
 
 Status LsmKvStore::CompactOnce(std::unique_lock<std::mutex>* lock,

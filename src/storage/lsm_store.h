@@ -146,7 +146,8 @@ class LsmKvStore : public KvStore {
   /// Retry wrapper: attempts CompactOnce a few times, noting
   /// `<site>.recovered` when a later attempt succeeds. Never fails the
   /// caller — an exhausted compaction just waits for the next trigger.
-  void CompactWithRetries(std::unique_lock<std::mutex>* lock);
+  /// Returns false when the budget ran out or a real IO error occurred.
+  bool CompactWithRetries(std::unique_lock<std::mutex>* lock);
   bool durable() const { return !options_.wal_dir.empty(); }
 
   LsmOptions options_;

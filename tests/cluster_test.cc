@@ -76,10 +76,13 @@ Bytes CounterCode() {
   return *code;
 }
 
-std::unique_ptr<ConfideSystem> MakeSystem() {
+std::unique_ptr<ConfideSystem> MakeSystem(size_t block_max_bytes = 64 * 1024,
+                                          uint32_t pipeline_depth = 0) {
   SystemOptions options;
   options.seed = kClusterSeed;
-  options.block_max_bytes = 64 * 1024;
+  options.block_max_bytes = block_max_bytes;
+  options.pipeline_depth = pipeline_depth;
+  options.parallelism = pipeline_depth > 0 ? 2 : 1;
   auto sys = ConfideSystem::BootstrapFirst(options);
   EXPECT_TRUE(sys.ok()) << sys.status().ToString();
   return std::move(*sys);
@@ -321,10 +324,10 @@ TEST_F(SimClusterTest, SubmitPlaneRoutesThroughFrames) {
 /// pinned to 3 nodes (quorum 1); elections only exercise quorum
 /// intersection at n >= 4 (quorum 3), so these tests build their own.
 struct SimViewCluster {
-  explicit SimViewCluster(uint32_t n)
+  explicit SimViewCluster(uint32_t n, size_t block_max_bytes = 64 * 1024)
       : sim(chain::NetworkSim::SingleZone(n)), hub(&sim, /*seed=*/5) {
     for (uint32_t i = 0; i < n; ++i) {
-      systems.push_back(MakeSystem());
+      systems.push_back(MakeSystem(block_max_bytes));
       EXPECT_NE(systems[i], nullptr);
       nodes.push_back(std::make_unique<ClusterNode>(
           systems[i].get(), std::make_unique<SimTransport>(&hub, i)));
@@ -342,6 +345,85 @@ struct SimViewCluster {
   std::vector<std::unique_ptr<ClusterNode>> nodes;
   std::unique_ptr<Client> client;
 };
+
+// ---------------------------------------------------------------------------
+// One block lifecycle, three drivers
+// ---------------------------------------------------------------------------
+
+TEST(LifecycleDriversTest, SerialPipelinedAndClusterProduceTheSameChain) {
+  // The serial loop, the depth-3 pipeline and a 4-node PBFT cluster all
+  // drive the same execute/stage and commit steps, so one signed tx set
+  // must produce byte-identical chains under each.
+  constexpr size_t kBlockBytes = 4096;  // several blocks per phase
+  auto serial = MakeSystem(kBlockBytes, /*pipeline_depth=*/0);
+  auto piped = MakeSystem(kBlockBytes, /*pipeline_depth=*/3);
+  SimViewCluster cluster(4, kBlockBytes);
+  ASSERT_NE(serial, nullptr);
+  ASSERT_NE(piped, nullptr);
+
+  Client client(99, serial->pk_tx());
+  const Bytes code = CounterCode();
+  const chain::Address pub_addr = NamedAddress("drivers.pub");
+  const chain::Address conf_addr = NamedAddress("drivers.conf");
+  std::vector<std::vector<chain::Transaction>> phases(2);
+  phases[0].push_back(client.MakePublicTx(pub_addr, "__deploy__", DeployPayload(code)));
+  auto conf_deploy =
+      client.MakeConfidentialTx(conf_addr, "__deploy__", DeployPayload(code));
+  ASSERT_TRUE(conf_deploy.ok());
+  phases[0].push_back(conf_deploy->tx);
+  for (int i = 0; i < 8; ++i) {
+    phases[1].push_back(client.MakePublicTx(pub_addr, "increment", Bytes{}));
+    auto call = client.MakeConfidentialTx(conf_addr, "increment", Bytes{});
+    ASSERT_TRUE(call.ok());
+    phases[1].push_back(call->tx);
+  }
+
+  chain::Node* leader = cluster.systems[0]->node();
+  for (const auto& phase : phases) {
+    for (const chain::Transaction& tx : phase) {
+      ASSERT_TRUE(serial->node()->SubmitTransaction(tx).ok());
+      ASSERT_TRUE(piped->node()->SubmitTransaction(tx).ok());
+      ASSERT_TRUE(leader->SubmitTransaction(tx).ok());
+    }
+    auto serial_receipts = serial->node()->RunPipelined();
+    ASSERT_TRUE(serial_receipts.ok()) << serial_receipts.status().ToString();
+    ASSERT_EQ(serial_receipts->size(), phase.size());
+    auto piped_receipts = piped->node()->RunPipelined();
+    ASSERT_TRUE(piped_receipts.ok()) << piped_receipts.status().ToString();
+    ASSERT_EQ(piped_receipts->size(), phase.size());
+    for (;;) {  // propose until the leader's pools are empty
+      auto seq = cluster.nodes[0]->ProposeOnce();
+      if (!seq.ok()) {
+        ASSERT_EQ(seq.status().code(), StatusCode::kNotFound);
+        break;
+      }
+      cluster.hub.DeliverAll();
+    }
+  }
+
+  EXPECT_GT(serial->node()->Height(), 2u);  // several blocks, not one per phase
+  std::vector<chain::Node*> others = {piped->node()};
+  for (auto& sys : cluster.systems) others.push_back(sys->node());
+  for (size_t n = 0; n < others.size(); ++n) {
+    EXPECT_EQ(others[n]->Height(), serial->node()->Height()) << "driver " << n;
+    EXPECT_EQ(others[n]->TipHash(), serial->node()->TipHash()) << "driver " << n;
+    EXPECT_EQ(others[n]->state()->StateRoot(), serial->node()->state()->StateRoot())
+        << "driver " << n;
+  }
+  for (const auto& phase : phases) {
+    for (const chain::Transaction& tx : phase) {
+      auto expected = serial->node()->GetReceipt(tx.Hash());
+      ASSERT_TRUE(expected.ok());
+      EXPECT_TRUE(expected->success) << expected->status_message;
+      for (size_t n = 0; n < others.size(); ++n) {
+        auto got = others[n]->GetReceipt(tx.Hash());
+        ASSERT_TRUE(got.ok()) << "driver " << n;
+        EXPECT_EQ(got->Serialize(), expected->Serialize()) << "driver " << n;
+      }
+    }
+  }
+}
+
 
 TEST(SimViewChangeTest, ElectionMovesLeadershipAndResumesProgress) {
   SimViewCluster c(4);

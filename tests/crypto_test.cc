@@ -411,6 +411,31 @@ TEST(Secp256k1Test, CorruptedSignatureFails) {
   EXPECT_FALSE(EcdsaVerify(kp.pub, digest, bad));
 }
 
+TEST(Secp256k1Test, HighSSignatureRejected) {
+  // (r, n - s) is the same signature's malleated twin: it satisfies the
+  // verification equation, so only the low-s rule tells them apart.
+  Drbg rng(108);
+  KeyPair kp = GenerateKeyPair(&rng);
+  Hash256 digest = Sha256::Digest(AsByteView("replayable transfer"));
+  auto sig = EcdsaSign(kp.priv, digest);
+  ASSERT_TRUE(sig.ok());
+  ASSERT_TRUE(EcdsaVerify(kp.pub, digest, *sig));
+
+  auto n = HexDecode(
+      "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
+  ASSERT_TRUE(n.ok());
+  Signature high = *sig;
+  int borrow = 0;
+  for (int i = 31; i >= 0; --i) {  // big-endian n - s
+    int diff = int((*n)[size_t(i)]) - int((*sig)[size_t(32 + i)]) - borrow;
+    borrow = diff < 0 ? 1 : 0;
+    high[size_t(32 + i)] = uint8_t(diff + (borrow << 8));
+  }
+  ASSERT_EQ(borrow, 0);
+  ASSERT_NE(high, *sig);
+  EXPECT_FALSE(EcdsaVerify(kp.pub, digest, high));
+}
+
 TEST(Secp256k1Test, EcdhIsCommutative) {
   Drbg rng(106);
   KeyPair alice = GenerateKeyPair(&rng);

@@ -879,6 +879,81 @@ TEST(NodeChaosTest, RandomOneShotFaultsNeverLeavePartialCommits) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(NodeChaosTest, FsyncFailureAfterLandedBatchNeverReExecutesTheBlock) {
+  // The commit rule: once a block's batch is in the store the block is
+  // final, even when the fsync that follows fails. A caller retrying the
+  // block must be refused — executing it again would run one signed
+  // increment twice.
+  auto dir = std::filesystem::temp_directory_path() / "confide_chaos_fsync";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  SystemOptions options;
+  options.seed = 280;
+  options.state_wal_dir = dir.string();
+  options.sync_commits = true;
+  auto boot = ConfideSystem::BootstrapFirst(options);
+  ASSERT_TRUE(boot.ok()) << boot.status().ToString();
+  auto& sys = *boot;
+  Client client(620, sys->pk_tx());
+  auto code = lang::Compile(kCounterSource, lang::VmTarget::kCvm);
+  ASSERT_TRUE(code.ok());
+  chain::Address addr = NamedAddress("counter");
+  auto deploy = client.MakeConfidentialTx(addr, "__deploy__", DeployPayload(*code));
+  ASSERT_TRUE(deploy.ok());
+  ASSERT_TRUE(sys->node()->SubmitTransaction(deploy->tx).ok());
+  ASSERT_TRUE(sys->RunToCompletion().ok());
+
+  auto call = client.MakeConfidentialTx(addr, "increment", Bytes{});
+  ASSERT_TRUE(call.ok());
+  ASSERT_TRUE(sys->node()->SubmitTransaction(call->tx).ok());
+  ASSERT_TRUE(sys->node()->PreVerify().ok());
+  auto block = sys->node()->ProposeBlock();
+  ASSERT_TRUE(block.ok());
+  ASSERT_EQ(block->transactions.size(), 1u);
+
+  const uint64_t height_before = sys->node()->Height();
+  {
+    FaultPlan plan(ChaosSeed());
+    plan.Arm("fault.storage.wal_sync", Trigger{.one_shot = true});
+    auto receipts = sys->node()->ApplyBlock(*block);
+    ASSERT_FALSE(receipts.ok());
+    EXPECT_EQ(receipts.status().code(), StatusCode::kUnavailable);
+  }
+  // The batch landed, so the block is applied despite the error...
+  EXPECT_EQ(sys->node()->Height(), height_before + 1);
+  auto stored = sys->node()->blocks()->GetByHeight(height_before);
+  ASSERT_TRUE(stored.ok());
+  auto landed = chain::Block::Deserialize(*stored);
+  ASSERT_TRUE(landed.ok());
+  EXPECT_EQ(sys->node()->TipHash(), landed->header.Hash());
+  EXPECT_EQ(sys->node()->state()->StateRoot(), landed->header.state_root);
+  // ...and the caller's retry is refused instead of executing it again.
+  auto retry = sys->node()->ApplyBlock(*block);
+  EXPECT_EQ(retry.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(sys->node()->Height(), height_before + 1);
+
+  auto receipt = sys->node()->GetReceipt(call->tx.Hash());
+  ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
+  auto opened = Client::OpenSealedReceipt(call->k_tx, receipt->output);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(ToString(opened->output), "1");
+
+  // The chain keeps extending on the next block, whose fsync succeeds
+  // (and reports the sync site recovered).
+  auto next = client.MakeConfidentialTx(addr, "increment", Bytes{});
+  ASSERT_TRUE(next.ok());
+  ASSERT_TRUE(sys->node()->SubmitTransaction(next->tx).ok());
+  auto receipts = sys->RunToCompletion();
+  ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
+  ASSERT_EQ(receipts->size(), 1u);
+  auto next_opened = Client::OpenSealedReceipt(next->k_tx, (*receipts)[0].output);
+  ASSERT_TRUE(next_opened.ok());
+  EXPECT_EQ(ToString(next_opened->output), "2");
+  EXPECT_EQ(sys->node()->Height(), height_before + 2);
+
+  std::filesystem::remove_all(dir);
+}
 
 TEST(NodeChaosTest, PipelineCommitCrashRecoversToPrefixConsistentState) {
   auto dir = std::filesystem::temp_directory_path() / "confide_chaos_pipeline";

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -199,6 +202,35 @@ TEST(GlobalRegistryTest, FreeHelpersHitTheGlobalRegistry) {
   uint64_t after = MetricsRegistry::Global().Snapshot().counter(
       "global.helper.count");
   EXPECT_EQ(after - before, 5u);
+}
+
+TEST(DumpSnapshotTest, WritesJsonLineThatRoundTrips) {
+  GetCounter("dump.helper.count")->Increment(3);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "confide_metrics_dump.json")
+          .string();
+  ASSERT_TRUE(DumpSnapshot(path).ok());
+
+  std::ifstream in(path, std::ios::binary);
+  std::string contents((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  std::filesystem::remove(path);
+  ASSERT_FALSE(contents.empty());
+  EXPECT_EQ(contents.back(), '\n');
+  contents.pop_back();
+  auto parsed = MetricsSnapshot::FromJson(contents);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_GE(parsed->counter("dump.helper.count"), 3u);
+  EXPECT_EQ(parsed->ToJson(), contents);  // nothing but ToJson() + '\n'
+}
+
+TEST(DumpSnapshotTest, UnwritablePathIsAnError) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "confide_metrics_no_such_dir";
+  std::filesystem::remove_all(dir);
+  Status status = DumpSnapshot((dir / "metrics.json").string());
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("metrics.json"), std::string::npos);
 }
 
 TEST(ScopedLatencyTimerTest, ObservesOnDestruction) {
