@@ -5,8 +5,10 @@
 /// (intra-zone RTT ~0.2 ms) or split across Shanghai/Beijing over public
 /// network (inter-zone RTT ~30 ms, lower bandwidth) — the Figure 11
 /// two-zone configuration. Links additionally carry a loss model (drop
-/// rate, delivery jitter) and nodes can be split into partitions, which
-/// the fault-aware PBFT simulator uses to exercise view changes.
+/// rate, delivery jitter) and nodes can be split into partitions. This
+/// is a description only: net::SimHub (net/sim_transport.h) reads it on
+/// every send to time, lose or refuse the frames of the real ClusterNode
+/// protocol in virtual time.
 
 #pragma once
 

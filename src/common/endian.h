@@ -50,9 +50,12 @@ inline void StoreLe64(uint8_t* p, uint64_t v) {
   StoreLe32(p + 4, uint32_t(v >> 32));
 }
 
-inline uint32_t RotL32(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
-inline uint32_t RotR32(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
-inline uint64_t RotL64(uint64_t x, int n) { return (x << n) | (x >> (64 - n)); }
-inline uint64_t RotR64(uint64_t x, int n) { return (x >> n) | (x << (64 - n)); }
+// Rotations by n in [0, width). The complementary shift is masked so a
+// rotation by 0 (Keccak's rho offset for lane 0) shifts by 0, not by the
+// full width, which is undefined.
+inline uint32_t RotL32(uint32_t x, int n) { return (x << n) | (x >> ((32 - n) & 31)); }
+inline uint32_t RotR32(uint32_t x, int n) { return (x >> n) | (x << ((32 - n) & 31)); }
+inline uint64_t RotL64(uint64_t x, int n) { return (x << n) | (x >> ((64 - n) & 63)); }
+inline uint64_t RotR64(uint64_t x, int n) { return (x >> n) | (x << ((64 - n) & 63)); }
 
 }  // namespace confide

@@ -117,8 +117,8 @@ class FaultPlan {
 };
 
 /// \brief Records an injected fault that came from explicit model
-/// configuration rather than an armed site (e.g. a PBFT replica declared
-/// crashed in a PbftFaultModel). Increments `<site>.injected`.
+/// configuration rather than an armed site (e.g. an enclave killed through
+/// EnclavePlatform::KillEnclave). Increments `<site>.injected`.
 void NoteInjected(std::string_view site);
 
 /// \brief Records that the system recovered from a fault at `site`

@@ -9,7 +9,7 @@ Hash256 HmacSha256(ByteView key, ByteView data) {
   if (key.size() > 64) {
     Hash256 kh = Sha256::Digest(key);
     std::memcpy(block_key, kh.data(), kh.size());
-  } else {
+  } else if (!key.empty()) {  // an empty key may carry a null data()
     std::memcpy(block_key, key.data(), key.size());
   }
 

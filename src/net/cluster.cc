@@ -96,6 +96,8 @@ OwnedFrame ErrorFrame(uint64_t code, std::string_view message) {
   return OwnedFrame{MsgType::kError, std::move(w).Take()};
 }
 
+constexpr uint64_t kNsPerMs = 1'000'000;
+
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -116,27 +118,23 @@ Status ClusterNode::Start() {
   transport_->SetHandler([this](uint32_t from, MsgType type, ByteView body) {
     return HandleFrame(from, type, body);
   });
-  CONFIDE_RETURN_NOT_OK(transport_->Start());
   {
     std::lock_guard<std::mutex> lock(mu_);
     jitter_state_ = options_.election_seed ^
                     (uint64_t(transport_->self_id()) * 0x9E3779B97F4A7C15ull);
-    last_leader_seen_ = std::chrono::steady_clock::now();
-    last_heartbeat_sent_ = last_leader_seen_;
+    last_leader_seen_ns_ = transport_->NowNs();
+    last_heartbeat_sent_ns_ = last_leader_seen_ns_;
   }
-  if (options_.heartbeat_ms > 0 && !started_) {
-    monitor_stop_.store(false);
-    monitor_ = std::thread([this] { RunMonitor(); });
+  if (options_.heartbeat_ms > 0) {
+    // The failure detector ticks at half the heartbeat cadence (5-50 ms)
+    // on the transport's clock: wall time under TCP, virtual under SimHub.
+    const uint64_t tick_ms = std::clamp<uint64_t>(options_.heartbeat_ms / 2, 5, 50);
+    transport_->SetTimer(tick_ms * kNsPerMs, [this] { MonitorTick(); });
   }
-  started_ = true;
-  return Status::OK();
+  return transport_->Start();
 }
 
-void ClusterNode::Stop() {
-  monitor_stop_.store(true);
-  if (monitor_.joinable()) monitor_.join();
-  transport_->Stop();
-}
+void ClusterNode::Stop() { transport_->Stop(); }
 
 std::optional<OwnedFrame> ClusterNode::HandleFrame(uint32_t from, MsgType type,
                                                    ByteView body) {
@@ -282,8 +280,8 @@ void ClusterNode::InstallProposalLocked(uint64_t view, uint64_t seq,
   p.view = view;
   // The pre-prepare carries the proposer's implicit prepare; our broadcast
   // kPrepare below is our vote, counted locally too.
-  p.prepares.insert(proposer);
-  p.prepares.insert(transport_->self_id());
+  p.prepares[proposer] = p.digest;
+  p.prepares[transport_->self_id()] = p.digest;
   const Bytes vote = EncodeVote(view, seq, p.digest);
   (void)transport_->Broadcast(MsgType::kPrepare, ByteView(vote));
 }
@@ -337,7 +335,7 @@ void ClusterNode::OnPrePrepare(uint32_t from, ByteView body) {
   // A pre-prepare from the legitimate leader of a newer view is proof the
   // election completed without us (lost kNewView, or we just rejoined).
   if (*view > view_.load(std::memory_order_relaxed)) AdoptViewLocked(*view);
-  last_leader_seen_ = std::chrono::steady_clock::now();
+  last_leader_seen_ns_ = transport_->NowNs();
   const uint64_t tip = system_->node()->Height();
   if (*seq >= tip) {
     InstallProposalLocked(*view, *seq, *wire, from);
@@ -376,18 +374,17 @@ void ClusterNode::OnVote(uint32_t from, MsgType type, ByteView body) {
     p = Pending{};
     p.view = *view;
   }
-  // Votes may precede the pre-prepare (reordering across connections);
-  // the digest check waits until the block is known.
+  // Votes may precede the pre-prepare (reordering across connections,
+  // WAN serialization); they are kept with their digest and count only
+  // for a block that matches it.
   if (!p.block_wire.empty() &&
       !std::equal(digest->begin(), digest->end(), p.digest.begin())) {
     ClusterMetrics::Get().vote_rejected->Increment();
     return;
   }
-  if (type == MsgType::kPrepare) {
-    p.prepares.insert(from);
-  } else {
-    p.commits.insert(from);
-  }
+  crypto::Hash256 voted{};
+  std::copy(digest->begin(), digest->end(), voted.begin());
+  (type == MsgType::kPrepare ? p.prepares : p.commits)[from] = voted;
   MaybeAdvanceLocked(*seq);
 }
 
@@ -396,13 +393,13 @@ void ClusterNode::MaybeAdvanceLocked(uint64_t seq) {
   if (it == pending_.end()) return;
   Pending& p = it->second;
   const size_t quorum = Quorum(transport_->cluster_size());
-  if (!p.commit_sent && p.prepares.size() >= quorum) {
+  if (!p.commit_sent && p.Count(p.prepares) >= quorum) {
     p.commit_sent = true;
-    p.commits.insert(transport_->self_id());
+    p.commits[transport_->self_id()] = p.digest;
     const Bytes vote = EncodeVote(p.view, seq, p.digest);
     (void)transport_->Broadcast(MsgType::kCommit, ByteView(vote));
   }
-  if (!p.committed && p.commit_sent && p.commits.size() >= quorum) {
+  if (!p.committed && p.commit_sent && p.Count(p.commits) >= quorum) {
     p.committed = true;
   }
   TryApplyLocked();
@@ -528,7 +525,7 @@ void ClusterNode::OnHeartbeat(uint32_t from, ByteView body) {
     return;
   }
   if (*view > view_.load(std::memory_order_relaxed)) AdoptViewLocked(*view);
-  last_leader_seen_ = std::chrono::steady_clock::now();
+  last_leader_seen_ns_ = transport_->NowNs();
   ClusterMetrics::Get().hb_recv->Increment();
   // The heartbeat carries the leader's height: an idle-cluster rejoin
   // heals here instead of waiting for the next proposal.
@@ -551,7 +548,7 @@ void ClusterNode::StartViewChangeLocked(uint64_t target_view) {
   const size_t quorum = Quorum(transport_->cluster_size());
   for (const auto& [seq, p] : pending_) {
     if (p.block_wire.empty()) continue;
-    if (p.prepares.size() < quorum && !p.committed) continue;
+    if (p.Count(p.prepares) < quorum && !p.committed) continue;
     msg.prepared[seq] = {p.view, p.block_wire};
   }
   view_changes_[target_view][transport_->self_id()] = msg;
@@ -767,7 +764,7 @@ void ClusterNode::AdoptViewLocked(uint64_t v) {
   view_.store(v, std::memory_order_release);
   if (view_target_ < v) view_target_ = v;
   failed_elections_ = 0;
-  last_leader_seen_ = std::chrono::steady_clock::now();
+  last_leader_seen_ns_ = transport_->NowNs();
   view_changes_.erase(view_changes_.begin(), view_changes_.upper_bound(v));
   ClusterMetrics::Get().view->Set(int64_t(v));
   ClusterMetrics::Get().view_adopted->Increment();
@@ -783,6 +780,10 @@ void ClusterNode::AdoptViewLocked(uint64_t v) {
     fault_stale_newview_sent_ = false;
     fault::NoteRecovered("fault.net.view.stale_newview");
   }
+  if (fault_leader_silent_ && LeaderOf(v) != transport_->self_id()) {
+    fault_leader_silent_ = false;
+    fault::NoteRecovered("fault.net.leader_crash");
+  }
   cv_.notify_all();
 }
 
@@ -791,6 +792,12 @@ Result<uint64_t> ClusterNode::ProposeOnce() {
     return Status::Unavailable("cluster: node " + std::to_string(self_id()) +
                                " is not the leader of view " +
                                std::to_string(view()));
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (fault_leader_silent_) {
+      return Status::Unavailable("cluster: leader hung (fault.net.leader_crash)");
+    }
   }
   chain::Node* node = system_->node();
   CONFIDE_RETURN_NOT_OK(node->PreVerify().status());
@@ -813,7 +820,7 @@ Result<uint64_t> ClusterNode::ProposeOnce() {
   p.view = v;
   p.block_wire = wire;
   p.digest = digest;
-  p.prepares.insert(transport_->self_id());
+  p.prepares[transport_->self_id()] = digest;
   ClusterMetrics::Get().propose->Increment();
   (void)transport_->Broadcast(MsgType::kPrePrepare,
                               ByteView(EncodePrePrepare(v, seq, wire)));
@@ -849,7 +856,7 @@ void ClusterNode::AbandonProposalLocked(uint64_t seq) {
   auto it = pending_.find(seq);
   if (it == pending_.end() || it->second.committed) return;
   ClusterMetrics::Get().abandoned->Increment();
-  if (it->second.prepares.size() >= Quorum(transport_->cluster_size())) {
+  if (it->second.Count(it->second.prepares) >= Quorum(transport_->cluster_size())) {
     // Prepared: the next view's leader may carry this block forward
     // (quorum intersection guarantees it sees the certificate), so the
     // transactions must not be requeued — they could commit twice. The
@@ -943,39 +950,40 @@ uint64_t ClusterNode::CurrentTimeoutMsLocked() {
   return t + NextJitterLocked() % jitter_span;
 }
 
-void ClusterNode::RunMonitor() {
-  const auto tick = std::chrono::milliseconds(
-      std::clamp<uint64_t>(options_.heartbeat_ms / 2, 5, 50));
-  while (!monitor_stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(tick);
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto now = std::chrono::steady_clock::now();
-    if (is_leader()) {
-      if (now - last_heartbeat_sent_ >=
-          std::chrono::milliseconds(options_.heartbeat_ms)) {
-        last_heartbeat_sent_ = now;
-        ClusterMetrics::Get().hb_sent->Increment();
-        (void)transport_->Broadcast(
-            MsgType::kHeartbeat,
-            ByteView(EncodeHeartbeat(view_.load(std::memory_order_relaxed),
-                                     system_->node()->Height())));
-      }
-      continue;
+void ClusterNode::MonitorTick() {
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t now = transport_->NowNs();
+  if (is_leader()) {
+    if (!fault_leader_silent_ &&
+        fault::FaultInjector::Global().ShouldFail("fault.net.leader_crash")) {
+      // The leader hangs: no heartbeats and no proposals from here on.
+      // Recovery = the replicas' election removing it (AdoptViewLocked).
+      fault_leader_silent_ = true;
     }
-    const uint64_t timeout_ms = CurrentTimeoutMsLocked();
-    if (now - last_leader_seen_ > std::chrono::milliseconds(timeout_ms)) {
-      ClusterMetrics::Get().hb_miss->Increment();
-      failed_elections_ = std::min<uint64_t>(failed_elections_ + 1, 16);
-      last_leader_seen_ = now;  // re-arm for the election itself
-      const uint64_t target =
-          std::max(view_.load(std::memory_order_relaxed), view_target_) + 1;
-      CONFIDE_LOG(kInfo, "cluster",
-                  "node " + std::to_string(self_id()) +
-                      ": leader silent past " + std::to_string(timeout_ms) +
-                      "ms, starting view change to " + std::to_string(target));
-      StartViewChangeLocked(target);
+    if (fault_leader_silent_ ||
+        now < last_heartbeat_sent_ns_ + options_.heartbeat_ms * kNsPerMs) {
+      return;
     }
+    last_heartbeat_sent_ns_ = now;
+    ClusterMetrics::Get().hb_sent->Increment();
+    (void)transport_->Broadcast(
+        MsgType::kHeartbeat,
+        ByteView(EncodeHeartbeat(view_.load(std::memory_order_relaxed),
+                                 system_->node()->Height())));
+    return;
   }
+  const uint64_t timeout_ms = CurrentTimeoutMsLocked();
+  if (now <= last_leader_seen_ns_ + timeout_ms * kNsPerMs) return;
+  ClusterMetrics::Get().hb_miss->Increment();
+  failed_elections_ = std::min<uint64_t>(failed_elections_ + 1, 16);
+  last_leader_seen_ns_ = now;  // re-arm for the election itself
+  const uint64_t target =
+      std::max(view_.load(std::memory_order_relaxed), view_target_) + 1;
+  CONFIDE_LOG(kInfo, "cluster",
+              "node " + std::to_string(self_id()) + ": leader silent past " +
+                  std::to_string(timeout_ms) + "ms, starting view change to " +
+                  std::to_string(target));
+  StartViewChangeLocked(target);
 }
 
 }  // namespace confide::net

@@ -22,7 +22,9 @@
 /// resumes in the new view. Timeouts grow exponentially across
 /// consecutive failed elections so a partitioned minority cannot livelock
 /// the cluster. The failure detector runs only when
-/// ClusterOptions::heartbeat_ms > 0; deterministic tests drive elections
+/// ClusterOptions::heartbeat_ms > 0, as a Transport timer: on a real
+/// thread under TCP, in virtual time under SimHub (where elections are
+/// deterministic per hub seed). Tests may also drive elections
 /// explicitly via StartViewChange().
 ///
 /// Lost frames (chaos drops, real packet loss) are repaired two ways:
@@ -36,14 +38,13 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <thread>
 
 #include "confide/system.h"
 #include "net/frame.h"
@@ -63,7 +64,7 @@ struct ClusterOptions {
   /// CatchUp per-batch reply wait.
   uint64_t fetch_wait_ms = 5000;
   /// Leader heartbeat cadence. 0 disables the failure detector entirely
-  /// (simulated tests drive elections explicitly via StartViewChange).
+  /// (tests then drive elections explicitly via StartViewChange).
   uint64_t heartbeat_ms = 0;
   /// Base replica silence budget before starting a view change. The
   /// effective timeout doubles per consecutive failed election (capped at
@@ -78,7 +79,7 @@ struct ClusterOptions {
 /// \brief One cluster member: a bootstrapped ConfideSystem plus the
 /// replication state machine, wired to a Transport. Thread-safe: the
 /// frame handler runs on transport reader threads, LeaderTick/CatchUp on
-/// the caller's thread, the failure detector on its own thread.
+/// the caller's thread, the failure detector on the transport's timer.
 class ClusterNode {
  public:
   /// \brief `system` must outlive the ClusterNode and is not owned.
@@ -86,8 +87,9 @@ class ClusterNode {
               ClusterOptions options = ClusterOptions{});
   ~ClusterNode();
 
-  /// \brief Installs the frame handler, starts the transport and (when
-  /// heartbeat_ms > 0) the heartbeat/election monitor thread.
+  /// \brief Installs the frame handler and (when heartbeat_ms > 0) the
+  /// heartbeat/election tick as the transport's timer, then starts the
+  /// transport.
   Status Start();
   void Stop();
 
@@ -154,10 +156,19 @@ class ClusterNode {
     uint64_t view = 0;              ///< view the block was (re-)proposed in
     Bytes block_wire;               ///< empty until the pre-prepare arrives
     crypto::Hash256 digest{};       ///< sha256 of block_wire
-    std::set<uint32_t> prepares;    ///< voter node ids (self included)
-    std::set<uint32_t> commits;
+    /// Voter node id (self included) → the digest it voted for. Votes may
+    /// precede the pre-prepare; only those for `digest` count.
+    std::map<uint32_t, crypto::Hash256> prepares;
+    std::map<uint32_t, crypto::Hash256> commits;
     bool commit_sent = false;
     bool committed = false;
+
+    /// Votes for this entry's block (none while the block is unknown).
+    size_t Count(const std::map<uint32_t, crypto::Hash256>& votes) const {
+      if (block_wire.empty()) return 0;
+      return size_t(std::count_if(votes.begin(), votes.end(),
+                                  [&](const auto& vote) { return vote.second == digest; }));
+    }
   };
 
   /// \brief One peer's kViewChange: its applied height plus the prepared
@@ -215,8 +226,11 @@ class ClusterNode {
   /// quorum was already observed (then the entry may commit in the next
   /// view and must not be double-submitted).
   void AbandonProposalLocked(uint64_t seq);
-  /// \brief Failure-detector / heartbeat loop (runs when heartbeat_ms > 0).
-  void RunMonitor();
+  /// \brief One failure-detector step on the transport's clock: the
+  /// leader heartbeats every heartbeat_ms; a replica that has not heard
+  /// the leader within the election timeout starts a view change. The
+  /// transport's timer calls it (when heartbeat_ms > 0).
+  void MonitorTick();
   uint64_t NextJitterLocked();
   /// \brief Current election timeout: base * 2^consecutive_failed capped
   /// at view_timeout_max_ms, plus jitter.
@@ -239,17 +253,14 @@ class ClusterNode {
   uint64_t failed_elections_ = 0;  ///< consecutive; drives timeout growth
   std::map<uint64_t, std::map<uint32_t, ViewChangeMsg>> view_changes_;
   uint64_t new_view_sent_ = 0;  ///< highest view this node broadcast kNewView for
-  std::chrono::steady_clock::time_point last_leader_seen_{};
-  std::chrono::steady_clock::time_point last_heartbeat_sent_{};
+  uint64_t last_leader_seen_ns_ = 0;     ///< transport clock
+  uint64_t last_heartbeat_sent_ns_ = 0;  ///< transport clock
   uint64_t jitter_state_ = 0;
   // Injected-fault flags awaiting their recovery signal (view adoption).
   bool fault_viewchange_dropped_ = false;
   bool fault_election_crashed_ = false;
   bool fault_stale_newview_sent_ = false;
-
-  std::thread monitor_;
-  std::atomic<bool> monitor_stop_{false};
-  bool started_ = false;
+  bool fault_leader_silent_ = false;  ///< fault.net.leader_crash drawn
 };
 
 }  // namespace confide::net

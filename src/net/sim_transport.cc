@@ -1,11 +1,26 @@
 #include "net/sim_transport.h"
 
+#include <algorithm>
+
 #include "common/fault.h"
 #include "common/metrics.h"
 
 namespace confide::net {
 
 namespace {
+
+/// Receiver CPU per frame (decode, digest, bookkeeping): a frame carrying
+/// a proposal to validate costs more than a vote.
+constexpr uint64_t kProposalProcessingNs = 150'000;
+constexpr uint64_t kVoteProcessingNs = 20'000;
+
+uint64_t ProcessingNs(MsgType type) {
+  return type == MsgType::kPrePrepare || type == MsgType::kNewView
+             ? kProposalProcessingNs
+             : kVoteProcessingNs;
+}
+
+constexpr uint64_t kNever = UINT64_MAX;
 
 struct SimMetrics {
   metrics::Counter* send = metrics::GetCounter("net.send.count");
@@ -30,18 +45,73 @@ size_t SimHub::DeliverAll() {
 }
 
 bool SimHub::DeliverOne() {
+  uint64_t next_arrival = kNever;
+  do {
+    next_arrival = NextArrivalNs();
+    if (next_arrival == kNever) return false;
+  } while (FireTimerDueBy(next_arrival));
+  DeliverNext();
+  return true;
+}
+
+size_t SimHub::RunUntil(uint64_t deadline_ns) {
+  size_t delivered = 0;
+  while (true) {
+    const uint64_t next_arrival = NextArrivalNs();
+    if (FireTimerDueBy(std::min(next_arrival, deadline_ns))) continue;
+    if (next_arrival > deadline_ns) break;
+    DeliverNext();
+    ++delivered;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  clock_ns_ = std::max(clock_ns_, deadline_ns);
+  return delivered;
+}
+
+uint64_t SimHub::NextArrivalNs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.empty() ? kNever : queue_.begin()->first.first;
+}
+
+bool SimHub::FireTimerDueBy(uint64_t limit_ns) {
+  SimTransport* due = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const Node& node : nodes_) {
+      SimTransport* endpoint = node.endpoint;
+      if (endpoint == nullptr || endpoint->timer_period_ns_ == 0 ||
+          endpoint->timer_due_ns_ > limit_ns) {
+        continue;
+      }
+      if (due == nullptr || endpoint->timer_due_ns_ < due->timer_due_ns_) due = endpoint;
+    }
+    if (due == nullptr) return false;
+    clock_ns_ = std::max(clock_ns_, due->timer_due_ns_);
+    due->timer_due_ns_ += due->timer_period_ns_;
+  }
+  due->timer_tick_();
+  return true;
+}
+
+void SimHub::DeliverNext() {
   Pending next;
   SimTransport* target = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    next = std::move(queue_.front());
-    queue_.pop_front();
-    if (next.to < endpoints_.size()) target = endpoints_[next.to];
+    auto entry = queue_.extract(queue_.begin());
+    const uint64_t arrival = entry.key().first;
+    next = std::move(entry.mapped());
+    clock_ns_ = std::max(clock_ns_, arrival);
+    if (next.to < nodes_.size() && nodes_[next.to].endpoint != nullptr) {
+      Node& node = nodes_[next.to];
+      target = node.endpoint;
+      node.busy_until_ns =
+          std::max(node.busy_until_ns, arrival) + ProcessingNs(next.frame.type);
+    }
   }
-  if (target == nullptr || !target->started_ || !target->handler_) {
+  if (target == nullptr || !target->handler_) {
     SimMetrics::Get().drop->Increment();
-    return true;
+    return;
   }
   SimMetrics::Get().recv->Increment();
   SimMetrics::Get().recv_bytes->Increment(next.frame.body.size());
@@ -51,7 +121,21 @@ bool SimHub::DeliverOne() {
     // Replies travel the same lossy medium back to the requester.
     (void)Route(next.to, next.from, reply->type, reply->body);
   }
-  return true;
+}
+
+uint64_t SimHub::now_ns() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return clock_ns_;
+}
+
+uint64_t SimHub::now_ns(uint32_t node) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return LocalNowLocked(node);
+}
+
+uint64_t SimHub::LocalNowLocked(uint32_t node) const {
+  return node < nodes_.size() ? std::max(clock_ns_, nodes_[node].busy_until_ns)
+                              : clock_ns_;
 }
 
 size_t SimHub::pending() const {
@@ -61,17 +145,17 @@ size_t SimHub::pending() const {
 
 void SimHub::Register(SimTransport* endpoint) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (endpoints_.size() <= endpoint->self_id_) {
-    endpoints_.resize(endpoint->self_id_ + 1, nullptr);
-  }
-  endpoints_[endpoint->self_id_] = endpoint;
+  if (nodes_.size() <= endpoint->self_id_) nodes_.resize(endpoint->self_id_ + 1);
+  nodes_[endpoint->self_id_].endpoint = endpoint;
+  endpoint->timer_due_ns_ =
+      LocalNowLocked(endpoint->self_id_) + endpoint->timer_period_ns_;
 }
 
 void SimHub::Unregister(SimTransport* endpoint) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (endpoint->self_id_ < endpoints_.size() &&
-      endpoints_[endpoint->self_id_] == endpoint) {
-    endpoints_[endpoint->self_id_] = nullptr;
+  if (endpoint->self_id_ < nodes_.size() &&
+      nodes_[endpoint->self_id_].endpoint == endpoint) {
+    nodes_[endpoint->self_id_].endpoint = nullptr;
   }
 }
 
@@ -93,8 +177,22 @@ Status SimHub::Route(uint32_t from, uint32_t to, MsgType type, ByteView body) {
     SimMetrics::Get().drop->Increment();
     return Status::OK();
   }
-  queue_.push_back(Pending{from, to, OwnedFrame{type, ToBytes(body)}});
+  // Senders are started endpoints, so `from` has a Node.
+  uint64_t& nic_free = nodes_[from].nic_free_ns;
+  nic_free = std::max(LocalNowLocked(from), nic_free) +
+             net_->SerializationNs(from, to, body.size());
+  uint64_t arrival = nic_free + net_->LatencyNs(from, to);
+  if (const uint64_t jitter = net_->JitterNs(from, to); jitter > 0) {
+    arrival += rng_.NextBounded(jitter + 1);
+  }
+  queue_.emplace(std::make_pair(arrival, next_seq_++),
+                 Pending{from, to, OwnedFrame{type, ToBytes(body)}});
   return Status::OK();
+}
+
+void SimTransport::SetTimer(uint64_t period_ns, std::function<void()> tick) {
+  timer_period_ns_ = tick ? period_ns : 0;
+  timer_tick_ = std::move(tick);
 }
 
 Status SimTransport::Start() {

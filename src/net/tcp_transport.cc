@@ -118,6 +118,25 @@ TcpTransport::~TcpTransport() { Stop(); }
 
 void TcpTransport::SetHandler(HandlerFn handler) { handler_ = std::move(handler); }
 
+void TcpTransport::SetTimer(uint64_t period_ns, std::function<void()> tick) {
+  timer_period_ns_ = period_ns;
+  timer_tick_ = std::move(tick);
+}
+
+uint64_t TcpTransport::NowNs() const {
+  return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now().time_since_epoch())
+                      .count());
+}
+
+void TcpTransport::TimerLoop() {
+  while (running_.load(std::memory_order_relaxed)) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(timer_period_ns_));
+    if (!running_.load(std::memory_order_relaxed)) break;
+    timer_tick_();
+  }
+}
+
 Status TcpTransport::Start() {
   if (options_.self_id >= options_.peers.size()) {
     return Status::InvalidArgument("tcp transport: self_id out of range");
@@ -169,11 +188,16 @@ Status TcpTransport::Start() {
 
   running_.store(true);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
+  if (timer_tick_ && timer_period_ns_ > 0) {
+    timer_thread_ = std::thread([this] { TimerLoop(); });
+  }
   return Status::OK();
 }
 
 void TcpTransport::Stop() {
   bool was_running = running_.exchange(false);
+  // The tick may send: it finishes before the connections close.
+  if (timer_thread_.joinable()) timer_thread_.join();
   if (!was_running && listen_fd_ < 0) return;
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> readers;

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -64,12 +65,17 @@ class TcpTransport : public Transport {
   ~TcpTransport() override;
 
   void SetHandler(HandlerFn handler) override;
+  /// \brief The tick runs on its own thread, every `period_ns` of wall
+  /// time, from Start until Stop.
+  void SetTimer(uint64_t period_ns, std::function<void()> tick) override;
   Status Start() override;
   void Stop() override;
   Status Send(uint32_t peer, MsgType type, ByteView body) override;
   Status Broadcast(MsgType type, ByteView body) override;
   uint32_t self_id() const override { return options_.self_id; }
   size_t cluster_size() const override { return options_.peers.size(); }
+  /// \brief The steady clock.
+  uint64_t NowNs() const override;
 
   /// \brief Bound listener port (after Start; resolves ephemeral binds).
   uint16_t listen_port() const { return bound_port_; }
@@ -78,6 +84,7 @@ class TcpTransport : public Transport {
   struct Connection;
 
   void AcceptLoop();
+  void TimerLoop();
   void ReadLoop(std::shared_ptr<Connection> conn);
   /// \brief Returns the established outbound connection to `peer`,
   /// dialing (with retry/backoff + kHello) when absent.
@@ -92,6 +99,10 @@ class TcpTransport : public Transport {
   int listen_fd_ = -1;
   uint16_t bound_port_ = 0;
   std::thread accept_thread_;
+
+  uint64_t timer_period_ns_ = 0;
+  std::function<void()> timer_tick_;
+  std::thread timer_thread_;
 
   std::mutex mu_;
   std::map<uint32_t, std::shared_ptr<Connection>> outbound_;  // by peer id

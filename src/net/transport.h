@@ -6,10 +6,9 @@
 /// gateway plane) is transport-agnostic. Two implementations exist:
 ///
 ///  - SimTransport (sim_transport.h): in-process delivery over the
-///    NetworkSim link model — deterministic, clockless, the substrate for
-///    the chaos suite and the single-process benchmarks. This is the
-///    original "all nodes in one process" path, unchanged in behavior,
-///    now behind the seam.
+///    NetworkSim link model in virtual time — deterministic, the substrate
+///    for the chaos suite, the failover tests and the single-process
+///    benchmarks.
 ///  - TcpTransport (tcp_transport.h): real length-prefixed TCP between
 ///    separately deployed processes (the `confided` binary).
 ///
@@ -25,6 +24,9 @@
 ///    (the request/reply plane).
 ///  - Handlers may call Send/Broadcast re-entrantly; implementations must
 ///    not hold internal locks across handler invocations.
+///  - Time comes from the medium: NowNs() and the SetTimer tick run on the
+///    steady clock and a real thread under TCP, on the hub's virtual clock
+///    under SimTransport, so timer-driven logic is written once.
 
 #pragma once
 
@@ -54,6 +56,14 @@ class Transport {
 
   /// \brief Installs the delivery handler. Must be called before Start.
   virtual void SetHandler(HandlerFn handler) = 0;
+
+  /// \brief Installs a periodic tick that runs every `period_ns` of this
+  /// medium's time from Start until Stop (an empty `tick` clears it). Must
+  /// be called before Start. The tick may Send/Broadcast.
+  virtual void SetTimer(uint64_t period_ns, std::function<void()> tick) = 0;
+
+  /// \brief Monotonic time of this endpoint's medium, in nanoseconds.
+  virtual uint64_t NowNs() const = 0;
 
   /// \brief Begins accepting/delivering frames.
   virtual Status Start() = 0;

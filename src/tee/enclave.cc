@@ -148,7 +148,7 @@ void EnclaveContext::MonitorEmit(uint32_t severity, std::string_view message) {
   record.SetMessage(message);
   // Exit-less: a handful of cycles for the ring write, no transition.
   platform_->clock_->AdvanceCycles(60);
-  platform_->monitor_ring_.Push(record);
+  platform_->PushMonitor(record);
 }
 
 void EnclaveContext::MonitorEmitViaOcall(uint32_t severity, std::string_view message) {
@@ -161,7 +161,7 @@ void EnclaveContext::MonitorEmitViaOcall(uint32_t severity, std::string_view mes
   Bytes payload(sizeof(MonitorRecord));
   std::memcpy(payload.data(), &record, sizeof(MonitorRecord));
   (void)platform_->DispatchOcall(/*fn=*/0, payload, PointerSemantics::kCopyInOut);
-  platform_->monitor_ring_.Push(record);
+  platform_->PushMonitor(record);
 }
 
 Result<uint64_t> EnclaveContext::CounterIncrement(std::string_view family) {
@@ -360,6 +360,11 @@ Result<Measurement> EnclavePlatform::GetMeasurement(EnclaveId id) const {
   auto it = enclaves_.find(id);
   if (it == enclaves_.end()) return Status::NotFound("unknown enclave");
   return it->second.measurement;
+}
+
+void EnclavePlatform::PushMonitor(const MonitorRecord& record) {
+  std::lock_guard<std::mutex> lock(monitor_push_mu_);
+  monitor_ring_.Push(record);
 }
 
 std::vector<MonitorRecord> EnclavePlatform::DrainMonitor() {

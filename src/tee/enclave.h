@@ -200,6 +200,8 @@ class EnclavePlatform {
 
   /// \brief Drains pending monitor records (host polling thread).
   std::vector<MonitorRecord> DrainMonitor();
+  /// \brief Monitor records lost to a full ring.
+  uint64_t MonitorDropped() const { return monitor_ring_.Dropped(); }
 
   uint64_t platform_id() const { return platform_id_; }
   TeeStats& stats() { return stats_; }
@@ -259,6 +261,10 @@ class EnclavePlatform {
   EnclaveId next_enclave_id_ = 1;
   std::atomic<uint64_t> monitor_sequence_{0};
 
+  /// \brief The ring's single producer: enclave calls run on several host
+  /// threads at once (parallel pre-verify), so pushes take this lock.
+  void PushMonitor(const MonitorRecord& record);
+  std::mutex monitor_push_mu_;
   MonitorRing<1024> monitor_ring_;
 };
 

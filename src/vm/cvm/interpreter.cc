@@ -23,7 +23,8 @@ Status CvmInstance::MemWrite(uint64_t ptr, ByteView data) {
   if (ptr + data.size() > memory_.size() || ptr + data.size() < ptr) {
     return Status::VmTrap("memory write out of bounds");
   }
-  std::memcpy(memory_.data() + ptr, data.data(), data.size());
+  // An empty view may carry a null data(), which memcpy must not see.
+  if (!data.empty()) std::memcpy(memory_.data() + ptr, data.data(), data.size());
   return Status::OK();
 }
 

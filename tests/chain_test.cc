@@ -8,7 +8,6 @@
 #include "common/metrics.h"
 #include "chain/network.h"
 #include "chain/node.h"
-#include "chain/pbft.h"
 #include "chain/state.h"
 #include "chain/sync.h"
 #include "chain/types.h"
@@ -362,38 +361,6 @@ TEST(NetworkTest, OutOfRangeNodeIdsReturnSentinelsNotUb) {
   // Invalid ids are rejected by the mutators too.
   EXPECT_FALSE(net.SetPartition(3, 1).ok());
   EXPECT_FALSE(net.SetLink(0, 5, LinkModel{}).ok());
-}
-
-TEST(PbftTest, AllReplicasCommitInSingleZone) {
-  NetworkSim net = NetworkSim::SingleZone(4);
-  PbftRoundResult result = SimulatePbftRound(net, 0, 4096);
-  EXPECT_GT(result.quorum_commit_ns, 0u);
-  for (uint64_t t : result.commit_time_ns) EXPECT_GT(t, 0u);
-  // 3 phases over ~0.2ms links: latency in the low-millisecond range.
-  EXPECT_LT(result.quorum_commit_ns, 10'000'000u);
-}
-
-TEST(PbftTest, TwoZoneRoundIsSlower) {
-  NetworkSim single = NetworkSim::SingleZone(9);
-  NetworkSim dual = NetworkSim::TwoZone(9);
-  uint64_t t_single = SimulatePbftRound(single, 0, 4096).quorum_commit_ns;
-  uint64_t t_dual = SimulatePbftRound(dual, 0, 4096).quorum_commit_ns;
-  EXPECT_GT(t_dual, t_single * 5);  // WAN round trips dominate
-}
-
-TEST(PbftTest, MessageComplexityIsQuadratic) {
-  NetworkSim net4 = NetworkSim::SingleZone(4);
-  NetworkSim net8 = NetworkSim::SingleZone(8);
-  uint64_t m4 = SimulatePbftRound(net4, 0, 1024).messages_sent;
-  uint64_t m8 = SimulatePbftRound(net8, 0, 1024).messages_sent;
-  EXPECT_GT(m8, m4 * 3);  // O(n^2) growth
-}
-
-TEST(PbftTest, LatencyGrowsModestlyWithClusterSize) {
-  uint64_t t4 = SimulatePbftRound(NetworkSim::SingleZone(4), 0, 4096).quorum_commit_ns;
-  uint64_t t20 = SimulatePbftRound(NetworkSim::SingleZone(20), 0, 4096).quorum_commit_ns;
-  EXPECT_GT(t20, t4);
-  EXPECT_LT(t20, t4 * 20);  // sub-linear in n for the latency (not messages)
 }
 
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include "net/frame_client.h"
 #include "net/gateway.h"
 #include "net/http.h"
+#include "net/sim_cluster.h"
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
 #include "serialize/json.h"
@@ -76,14 +77,19 @@ Bytes CounterCode() {
   return *code;
 }
 
-std::unique_ptr<ConfideSystem> MakeSystem(size_t block_max_bytes = 64 * 1024,
-                                          uint32_t pipeline_depth = 0) {
+SystemOptions ClusterSystemOptions(size_t block_max_bytes = 64 * 1024,
+                                   uint32_t pipeline_depth = 0) {
   SystemOptions options;
   options.seed = kClusterSeed;
   options.block_max_bytes = block_max_bytes;
   options.pipeline_depth = pipeline_depth;
   options.parallelism = pipeline_depth > 0 ? 2 : 1;
-  auto sys = ConfideSystem::BootstrapFirst(options);
+  return options;
+}
+
+std::unique_ptr<ConfideSystem> MakeSystem(size_t block_max_bytes = 64 * 1024,
+                                          uint32_t pipeline_depth = 0) {
+  auto sys = ConfideSystem::BootstrapFirst(ClusterSystemOptions(block_max_bytes, pipeline_depth));
   EXPECT_TRUE(sys.ok()) << sys.status().ToString();
   return std::move(*sys);
 }
@@ -126,91 +132,73 @@ TEST(ClusterQuorumTest, TwoFPlusOne) {
 // Simulated clusters: deterministic, every delivery explicit
 // ---------------------------------------------------------------------------
 
-class SimClusterTest : public ::testing::Test {
+class SimClusterTest : public ::testing::Test, public SimCluster {
  protected:
-  void SetUp() override {
-    sim_ = chain::NetworkSim::SingleZone(kNodes);
-    hub_ = std::make_unique<SimHub>(&sim_, /*seed=*/3);
-    for (uint32_t i = 0; i < kNodes; ++i) {
-      systems_.push_back(MakeSystem());
-      ASSERT_NE(systems_[i], nullptr);
-      nodes_.push_back(std::make_unique<ClusterNode>(
-          systems_[i].get(), std::make_unique<SimTransport>(hub_.get(), i)));
-      ASSERT_TRUE(nodes_[i]->Start().ok());
-    }
-    client_ = std::make_unique<Client>(99, systems_[0]->pk_tx());
-  }
+  SimClusterTest() : SimCluster(kNodes, ClusterSystemOptions(), {}, /*hub_seed=*/3) {}
 
-  void TearDown() override {
-    for (auto& node : nodes_) node->Stop();
-  }
+  void SetUp() override { ASSERT_TRUE(status.ok()) << status.ToString(); }
 
   /// Leader proposes, the hub drains every queued frame (votes and their
   /// replies re-enqueue until consensus quiesces).
   uint64_t CommitRound() {
-    auto seq = nodes_[0]->ProposeOnce();
+    auto seq = nodes[0]->ProposeOnce();
     EXPECT_TRUE(seq.ok()) << seq.status().ToString();
-    hub_->DeliverAll();
+    hub.DeliverAll();
     return seq.ok() ? *seq : 0;
   }
 
   void ExpectConverged() {
     for (uint32_t i = 1; i < kNodes; ++i) {
-      EXPECT_EQ(nodes_[i]->Height(), nodes_[0]->Height()) << "node " << i;
-      EXPECT_EQ(nodes_[i]->TipHash(), nodes_[0]->TipHash()) << "node " << i;
+      EXPECT_EQ(nodes[i]->Height(), nodes[0]->Height()) << "node " << i;
+      EXPECT_EQ(nodes[i]->TipHash(), nodes[0]->TipHash()) << "node " << i;
     }
   }
 
   static constexpr uint32_t kNodes = 3;
-  chain::NetworkSim sim_;
-  std::unique_ptr<SimHub> hub_;
-  std::vector<std::unique_ptr<ConfideSystem>> systems_;
-  std::vector<std::unique_ptr<ClusterNode>> nodes_;
-  std::unique_ptr<Client> client_;
 };
 
 TEST_F(SimClusterTest, ThreeNodesConvergeOnEveryBlock) {
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("sim.counter");
-  ASSERT_TRUE(systems_[0]
+  ASSERT_TRUE(systems[0]
                   ->node()
                   ->SubmitTransaction(
-                      client_->MakePublicTx(addr, "__deploy__", DeployPayload(code)))
+                      client->MakePublicTx(addr, "__deploy__", DeployPayload(code)))
                   .ok());
-  const uint64_t h0 = nodes_[0]->Height();
+  const uint64_t h0 = nodes[0]->Height();
   CommitRound();
-  EXPECT_EQ(nodes_[0]->Height(), h0 + 1);
+  EXPECT_EQ(nodes[0]->Height(), h0 + 1);
   ExpectConverged();
 
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(systems_[0]
+    ASSERT_TRUE(systems[0]
                     ->node()
-                    ->SubmitTransaction(client_->MakePublicTx(addr, "increment", Bytes{}))
+                    ->SubmitTransaction(client->MakePublicTx(addr, "increment", Bytes{}))
                     .ok());
     CommitRound();
     ExpectConverged();
   }
-  EXPECT_EQ(nodes_[0]->Height(), h0 + 4);
+  EXPECT_EQ(nodes[0]->Height(), h0 + 4);
 }
 
 TEST_F(SimClusterTest, EmptyPoolsProposeNothing) {
-  auto seq = nodes_[0]->ProposeOnce();
+  auto seq = nodes[0]->ProposeOnce();
   EXPECT_FALSE(seq.ok());
   EXPECT_EQ(seq.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(hub_->pending(), 0u);
+  EXPECT_EQ(hub.pending(), 0u);
 }
 
 TEST_F(SimClusterTest, ConfidentialReceiptIsReplicatedAndOpens) {
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("sim.conf");
-  auto deploy = client_->MakeConfidentialTx(addr, "__deploy__", DeployPayload(code));
+  auto deploy = client->MakeConfidentialTx(addr, "__deploy__", DeployPayload(code));
   ASSERT_TRUE(deploy.ok()) << deploy.status().ToString();
-  ASSERT_TRUE(systems_[0]->node()->SubmitTransaction(deploy->tx).ok());
+  ASSERT_TRUE(systems[0]->node()->SubmitTransaction(deploy->tx).ok());
   CommitRound();
 
-  auto call = client_->MakeConfidentialTx(addr, "increment", Bytes{});
+  auto call = client->MakeConfidentialTx(addr, "increment", Bytes{});
   ASSERT_TRUE(call.ok());
-  ASSERT_TRUE(systems_[0]->node()->SubmitTransaction(call->tx).ok());
+  ASSERT_TRUE(systems[0]->node()->SubmitTransaction(call->tx).ok());
   CommitRound();
   ExpectConverged();
 
@@ -219,7 +207,7 @@ TEST_F(SimClusterTest, ConfidentialReceiptIsReplicatedAndOpens) {
   const crypto::Hash256 tx_hash = call->tx.Hash();
   Bytes first_wire;
   for (uint32_t i = 0; i < kNodes; ++i) {
-    auto receipt = systems_[i]->node()->GetReceipt(tx_hash);
+    auto receipt = systems[i]->node()->GetReceipt(tx_hash);
     ASSERT_TRUE(receipt.ok()) << "node " << i << ": " << receipt.status().ToString();
     Bytes wire = receipt->Serialize();
     if (i == 0) {
@@ -237,34 +225,34 @@ TEST_F(SimClusterTest, ConfidentialReceiptIsReplicatedAndOpens) {
 TEST_F(SimClusterTest, PartitionedReplicaRepairsGapViaFetch) {
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("sim.gap");
-  ASSERT_TRUE(systems_[0]
+  ASSERT_TRUE(systems[0]
                   ->node()
                   ->SubmitTransaction(
-                      client_->MakePublicTx(addr, "__deploy__", DeployPayload(code)))
+                      client->MakePublicTx(addr, "__deploy__", DeployPayload(code)))
                   .ok());
   CommitRound();
   ExpectConverged();
 
   // Split node 2 off; it misses the next two blocks.
-  ASSERT_TRUE(sim_.SetPartition(2, 1).ok());
+  ASSERT_TRUE(sim.SetPartition(2, 1).ok());
   for (int round = 0; round < 2; ++round) {
-    ASSERT_TRUE(systems_[0]
+    ASSERT_TRUE(systems[0]
                     ->node()
-                    ->SubmitTransaction(client_->MakePublicTx(addr, "increment", Bytes{}))
+                    ->SubmitTransaction(client->MakePublicTx(addr, "increment", Bytes{}))
                     .ok());
     CommitRound();
   }
-  EXPECT_EQ(nodes_[2]->Height() + 2, nodes_[0]->Height());
+  EXPECT_EQ(nodes[2]->Height() + 2, nodes[0]->Height());
 
   // Heal. The next pre-prepare jumps past node 2's tip, which triggers
   // the kFetchBlocks gap pull; DeliverAll drains fetch + reply + votes.
-  sim_.HealPartitions();
-  ASSERT_TRUE(systems_[0]
+  sim.HealPartitions();
+  ASSERT_TRUE(systems[0]
                   ->node()
-                  ->SubmitTransaction(client_->MakePublicTx(addr, "increment", Bytes{}))
+                  ->SubmitTransaction(client->MakePublicTx(addr, "increment", Bytes{}))
                   .ok());
   CommitRound();
-  hub_->DeliverAll();
+  hub.DeliverAll();
   ExpectConverged();
 }
 
@@ -274,10 +262,10 @@ TEST_F(SimClusterTest, SubmitPlaneRoutesThroughFrames) {
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("sim.frames");
   chain::Transaction tx =
-      client_->MakePublicTx(addr, "__deploy__", DeployPayload(code));
+      client->MakePublicTx(addr, "__deploy__", DeployPayload(code));
 
-  SimTransport client_endpoint(hub_.get(), 2);  // borrow node 2's id slot
-  nodes_[2]->Stop();
+  SimTransport client_endpoint(&hub, 2);  // borrow node 2's id slot
+  nodes[2]->Stop();
   std::optional<OwnedFrame> ack;
   client_endpoint.SetHandler(
       [&](uint32_t, MsgType type, ByteView body) -> std::optional<OwnedFrame> {
@@ -287,7 +275,7 @@ TEST_F(SimClusterTest, SubmitPlaneRoutesThroughFrames) {
   ASSERT_TRUE(client_endpoint.Start().ok());
 
   ASSERT_TRUE(client_endpoint.Send(0, MsgType::kSubmitTx, tx.Serialize()).ok());
-  hub_->DeliverAll();
+  hub.DeliverAll();
   ASSERT_TRUE(ack.has_value());
   ASSERT_EQ(ack->type, MsgType::kSubmitTxAck);
   auto r = serialize::RlpReader::AtList(ack->body);
@@ -298,15 +286,15 @@ TEST_F(SimClusterTest, SubmitPlaneRoutesThroughFrames) {
   ASSERT_TRUE(hash.ok());
   EXPECT_EQ(*accepted, 1u);
   EXPECT_EQ(ToBytes(*hash), ToBytes(ByteView(tx.Hash().data(), 32)));
-  EXPECT_EQ(systems_[0]->node()->UnverifiedPoolSize() +
-                systems_[0]->node()->VerifiedPoolSize(),
+  EXPECT_EQ(systems[0]->node()->UnverifiedPoolSize() +
+                systems[0]->node()->VerifiedPoolSize(),
             1u);
 
   // A frame that is not a decodable transaction earns a structured
   // kError reply (docs/WIRE_PROTOCOL.md §Error frames), not silence.
   ack.reset();
   ASSERT_TRUE(client_endpoint.Send(0, MsgType::kSubmitTx, AsByteView("garbage")).ok());
-  hub_->DeliverAll();
+  hub.DeliverAll();
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->type, MsgType::kError);
   auto r2 = serialize::RlpReader::AtList(ack->body);
@@ -323,28 +311,65 @@ TEST_F(SimClusterTest, SubmitPlaneRoutesThroughFrames) {
 /// An n-node sim harness for the election tests. The fixture above is
 /// pinned to 3 nodes (quorum 1); elections only exercise quorum
 /// intersection at n >= 4 (quorum 3), so these tests build their own.
-struct SimViewCluster {
+struct SimViewCluster : SimCluster {
   explicit SimViewCluster(uint32_t n, size_t block_max_bytes = 64 * 1024)
-      : sim(chain::NetworkSim::SingleZone(n)), hub(&sim, /*seed=*/5) {
-    for (uint32_t i = 0; i < n; ++i) {
-      systems.push_back(MakeSystem(block_max_bytes));
-      EXPECT_NE(systems[i], nullptr);
-      nodes.push_back(std::make_unique<ClusterNode>(
-          systems[i].get(), std::make_unique<SimTransport>(&hub, i)));
-      EXPECT_TRUE(nodes[i]->Start().ok());
-    }
-    client = std::make_unique<Client>(99, systems[0]->pk_tx());
+      : SimCluster(n, ClusterSystemOptions(block_max_bytes), {}, /*hub_seed=*/5) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
   }
-  ~SimViewCluster() {
-    for (auto& node : nodes) node->Stop();
-  }
-
-  chain::NetworkSim sim;
-  SimHub hub;
-  std::vector<std::unique_ptr<ConfideSystem>> systems;
-  std::vector<std::unique_ptr<ClusterNode>> nodes;
-  std::unique_ptr<Client> client;
 };
+
+// ---------------------------------------------------------------------------
+// Round timing: the protocol in the SimHub's virtual time (the consensus
+// term of Figure 11)
+// ---------------------------------------------------------------------------
+
+/// SimCluster::TimedRound on node 0 for a block of one public tx carrying
+/// `payload` bytes; every replica must apply it.
+uint64_t PaddedRound(SimViewCluster* c, size_t payload) {
+  EXPECT_TRUE(c->systems[0]
+                  ->node()
+                  ->SubmitTransaction(c->client->MakePublicTx(
+                      NamedAddress("round.pad"), "pad", Bytes(payload, 0xab)))
+                  .ok());
+  auto ns = c->TimedRound(0);
+  EXPECT_TRUE(ns.ok()) << ns.status().ToString();
+  for (auto& node : c->nodes) EXPECT_EQ(node->Height(), c->nodes[0]->Height());
+  return ns.ok() ? *ns : 0;
+}
+
+TEST(SimRoundTimingTest, TwoZoneRoundIsOverFiveTimesSlower) {
+  SimViewCluster c(9);
+  auto* rejected = metrics::GetCounter("cluster.vote.rejected.count");
+  const uint64_t rejected_before = rejected->Value();
+  const uint64_t single = PaddedRound(&c, 4096);
+  c.sim = chain::NetworkSim::TwoZone(9);  // same nodes, WAN between cities
+  const uint64_t dual = PaddedRound(&c, 4096);
+  EXPECT_GT(dual, 5 * single);  // WAN round trips dominate
+  // Prepare quorums form before the last WAN pre-prepares land; an honest
+  // round still sends no vote its peers must refuse.
+  EXPECT_EQ(rejected->Value(), rejected_before);
+}
+
+TEST(SimRoundTimingTest, MessagesGrowQuadraticallyLatencySubLinearly) {
+  auto* sent = metrics::GetCounter("net.send.count");
+  auto* dropped = metrics::GetCounter("net.send.drop.count");
+  const uint64_t dropped_before = dropped->Value();
+  uint64_t messages[2], latency[2];
+  for (size_t i = 0; i < 2; ++i) {
+    SimViewCluster c(i == 0 ? 4 : 8);
+    const uint64_t before = sent->Value();
+    latency[i] = PaddedRound(&c, 1024);
+    messages[i] = sent->Value() - before;
+    for (auto& node : c.nodes) EXPECT_EQ(node->view(), 0u);
+  }
+  // Three phases over ~0.2 ms links: low single-digit milliseconds.
+  EXPECT_GT(latency[0], 0u);
+  EXPECT_LT(latency[0], 10'000'000u);
+  EXPECT_EQ(dropped->Value(), dropped_before);
+  EXPECT_GT(messages[1], 3 * messages[0]);  // O(n^2) votes
+  EXPECT_GT(latency[1], latency[0]);
+  EXPECT_LT(latency[1], 2 * latency[0]);    // twice the nodes, not twice the time
+}
 
 // ---------------------------------------------------------------------------
 // One block lifecycle, three drivers

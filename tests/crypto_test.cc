@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
+#include "common/endian.h"
 #include "crypto/aes.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
@@ -244,6 +245,13 @@ TEST(GcmTest, TruncatedInputRejected) {
   EXPECT_FALSE(gcm->Open(iv, tiny, ByteView{}).ok());
 }
 
+TEST(RotateTest, ByZeroIsIdentity) {
+  EXPECT_EQ(RotL64(0x0123456789abcdefull, 0), 0x0123456789abcdefull);
+  EXPECT_EQ(RotR64(0x0123456789abcdefull, 0), 0x0123456789abcdefull);
+  EXPECT_EQ(RotL32(0x89abcdefu, 0), 0x89abcdefu);
+  EXPECT_EQ(RotR32(0x89abcdefu, 0), 0x89abcdefu);
+}
+
 // ---------------------------------------------------------------------------
 // HMAC / HKDF (RFC 4231 / RFC 5869 vectors)
 // ---------------------------------------------------------------------------
@@ -260,6 +268,11 @@ TEST(HmacTest, Rfc4231Case2) {
                         AsByteView("what do ya want for nothing?"));
   EXPECT_EQ(DigestHex(mac),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+TEST(HmacTest, EmptyKeyAndMessage) {
+  EXPECT_EQ(DigestHex(HmacSha256(ByteView{}, ByteView{})),
+            "b613679a0814d9ec772f95d778c35fc5ff1697c493715653c6c712144292c5ad");
 }
 
 TEST(HmacTest, LongKeyIsHashedFirst) {

@@ -287,6 +287,17 @@ TEST(CvmTest, InputAndOutput) {
   EXPECT_EQ(ToString(result->output), "payload");
 }
 
+TEST(CvmTest, ZeroLengthMemWriteIsANoOp) {
+  // read_input of an empty input writes an empty view into memory.
+  FunctionBuilder fb(0, 0);
+  fb.I64Const(0).I64Const(16).CallHost(kHostReadInput).Return();
+  MapHostEnv env;
+  CvmVm vm;
+  auto result = vm.Execute(BuildSingle(fb), "main", ByteView{}, &env, NoCacheConfig());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->return_value, 0u);
+}
+
 TEST(CvmTest, AbortTraps) {
   FunctionBuilder fb(0, 0);
   fb.I64Const(3).CallHost(kHostAbort).Return();

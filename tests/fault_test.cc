@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "chain/network.h"
-#include "chain/pbft.h"
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "confide/client.h"
@@ -34,6 +33,7 @@
 #include "crypto/drbg.h"
 #include "lang/compiler.h"
 #include "net/cluster.h"
+#include "net/sim_cluster.h"
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
 #include "serialize/rlp.h"
@@ -153,158 +153,6 @@ TEST(FaultInjectorTest, InjectedAndRecoveredCounters) {
   metrics::MetricsSnapshot snap = metrics::MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snap.counter("fault.test.c.injected"), before + 1);
   EXPECT_GE(snap.counter("fault.test.c.recovered"), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// PBFT under faults
-// ---------------------------------------------------------------------------
-
-chain::PbftFaultModel Behaviors(std::vector<chain::ReplicaBehavior> b) {
-  chain::PbftFaultModel model;
-  model.behavior = std::move(b);
-  return model;
-}
-
-TEST(PbftFaultTest, AllHonestCommitsInViewZero) {
-  auto net = chain::NetworkSim::SingleZone(4);
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, Behaviors({}));
-  EXPECT_TRUE(result.committed);
-  EXPECT_EQ(result.commit_view, 0u);
-  EXPECT_EQ(result.view_changes, 0u);
-  EXPECT_EQ(result.messages_dropped, 0u);
-}
-
-TEST(PbftFaultTest, CrashedLeaderRecoversViaViewChange) {
-  using chain::ReplicaBehavior;
-  auto net = chain::NetworkSim::SingleZone(4);
-  auto model = Behaviors({ReplicaBehavior::kCrashed});
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  EXPECT_TRUE(result.committed);
-  EXPECT_GE(result.commit_view, 1u);
-  EXPECT_GE(result.view_changes, 1u);
-  // The round had to sit out at least one view timeout before committing.
-  EXPECT_GT(result.quorum_commit_ns, model.view_timeout_ns);
-  EXPECT_EQ(result.commit_time_ns[0], 0u);  // the dead leader never commits
-
-  // Model-declared leader crash is recorded and marked recovered.
-  metrics::MetricsSnapshot snap = metrics::MetricsRegistry::Global().Snapshot();
-  EXPECT_GE(snap.counter("fault.chain.leader_crash.injected"), 1u);
-  EXPECT_GE(snap.counter("fault.chain.leader_crash.recovered"), 1u);
-}
-
-TEST(PbftFaultTest, DoubleLeaderCrashTakesTwoViewChanges) {
-  using chain::ReplicaBehavior;
-  auto net = chain::NetworkSim::SingleZone(7);  // f = 2
-  auto model =
-      Behaviors({ReplicaBehavior::kCrashed, ReplicaBehavior::kCrashed});
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  EXPECT_TRUE(result.committed);
-  EXPECT_GE(result.commit_view, 2u);  // leaders of views 0 and 1 are dead
-  EXPECT_GT(result.quorum_commit_ns, 2 * model.view_timeout_ns);
-}
-
-TEST(PbftFaultTest, SilentReplicaDoesNotBlockCommit) {
-  using chain::ReplicaBehavior;
-  auto net = chain::NetworkSim::SingleZone(4);
-  auto model = Behaviors({ReplicaBehavior::kHonest, ReplicaBehavior::kSilent});
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  EXPECT_TRUE(result.committed);
-  EXPECT_EQ(result.commit_view, 0u);
-}
-
-TEST(PbftFaultTest, EquivocatingLeaderIsVotedOut) {
-  using chain::ReplicaBehavior;
-  auto net = chain::NetworkSim::SingleZone(4);
-  auto model = Behaviors({ReplicaBehavior::kEquivocating});
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  EXPECT_TRUE(result.committed);
-  EXPECT_GE(result.commit_view, 1u);  // its invalid proposal went nowhere
-}
-
-TEST(PbftFaultTest, EquivocationDuringViewChangeExcludedFromQuorum) {
-  // Fork attempt under a view change: the view-0 leader is dead, and the
-  // replica that inherits the lead in view 1 equivocates. The honest
-  // majority must vote through BOTH byzantine leaders and commit exactly
-  // one value — the equivocator never gets divergent commits accepted.
-  using chain::ReplicaBehavior;
-  auto net = chain::NetworkSim::SingleZone(7);  // f = 2: tolerates both
-  auto model =
-      Behaviors({ReplicaBehavior::kCrashed, ReplicaBehavior::kEquivocating});
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  ASSERT_TRUE(result.committed);
-  // Two failed views (dead leader, then equivocating leader) before an
-  // honest leader closes the round.
-  EXPECT_GE(result.view_changes, 2u);
-  EXPECT_GE(result.commit_view, 2u);
-  // The crashed replica never commits; every honest replica that did
-  // commit saw the same single quorum decision (one commit time each,
-  // from one view) — no replica committed in a conflicting earlier view.
-  EXPECT_EQ(result.commit_time_ns[0], 0u);
-  size_t committed_replicas = 0;
-  for (uint64_t t : result.commit_time_ns) committed_replicas += (t != 0);
-  EXPECT_GE(committed_replicas, 5u);  // 2f+1 quorum of honest replicas
-}
-
-TEST(PbftFaultTest, TooManyCrashesNeverCommit) {
-  using chain::ReplicaBehavior;
-  auto net = chain::NetworkSim::SingleZone(4);  // f = 1, quorum 3
-  auto model =
-      Behaviors({ReplicaBehavior::kCrashed, ReplicaBehavior::kCrashed});
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  EXPECT_FALSE(result.committed);
-  EXPECT_EQ(result.quorum_commit_ns, 0u);
-  EXPECT_EQ(result.view_changes, model.max_views);  // burned every view
-}
-
-TEST(PbftFaultTest, EvenPartitionBlocksMinorityPartitionDoesNot) {
-  auto net = chain::NetworkSim::SingleZone(4);
-  ASSERT_TRUE(net.SetPartition(2, 1).ok());
-  ASSERT_TRUE(net.SetPartition(3, 1).ok());  // 2/2 split: no side has 3
-  auto blocked = chain::SimulatePbftWithFaults(net, 0, 4096, Behaviors({}));
-  EXPECT_FALSE(blocked.committed);
-  EXPECT_GT(blocked.messages_dropped, 0u);
-
-  net.HealPartitions();
-  ASSERT_TRUE(net.SetPartition(3, 1).ok());  // 3/1: majority side commits
-  auto majority = chain::SimulatePbftWithFaults(net, 0, 4096, Behaviors({}));
-  EXPECT_TRUE(majority.committed);
-  EXPECT_EQ(majority.commit_time_ns[3], 0u);  // the isolated node never does
-}
-
-TEST(PbftFaultTest, LossyLinksAreDeterministicPerSeed) {
-  auto make_net = [] {
-    chain::NetworkSim net;
-    uint32_t zone = net.AddZone("vpc");
-    chain::LinkModel lossy;
-    lossy.drop_rate = 0.1;
-    lossy.jitter_ns = 50'000;
-    EXPECT_TRUE(net.SetLink(zone, zone, lossy).ok());
-    for (int i = 0; i < 7; ++i) net.AddNode(zone);
-    return net;
-  };
-  auto net = make_net();
-  chain::PbftFaultModel model;
-  model.seed = 42;
-  auto a = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  auto b = chain::SimulatePbftWithFaults(net, 0, 4096, model);
-  EXPECT_EQ(a.committed, b.committed);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
-  EXPECT_EQ(a.quorum_commit_ns, b.quorum_commit_ns);
-  EXPECT_EQ(a.commit_time_ns, b.commit_time_ns);
-  EXPECT_GT(a.messages_dropped, 0u);
-}
-
-TEST(PbftFaultTest, ArmedMessageDropSiteDropsMessages) {
-  FaultPlan plan(ChaosSeed());
-  plan.Arm("fault.chain.pbft_msg_drop", Trigger{.probability = 0.05});
-  auto net = chain::NetworkSim::SingleZone(7);
-  auto result = chain::SimulatePbftWithFaults(net, 0, 4096, Behaviors({}));
-  EXPECT_GT(result.messages_dropped, 0u);
-  // Under loss the protocol either still reaches quorum or reacts with a
-  // view change (the sim has no retransmission, so commit itself is not
-  // guaranteed — a sub-quorum view-0 commit can strand the stragglers).
-  EXPECT_TRUE(result.committed || result.view_changes > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1834,13 +1682,11 @@ Bytes NetDeployPayload(const Bytes& code) {
   return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
 }
 
-std::unique_ptr<ConfideSystem> NetChaosSystem() {
+SystemOptions NetChaosOptions() {
   SystemOptions options;
   options.seed = 23;
   options.block_max_bytes = 64 * 1024;
-  auto sys = ConfideSystem::BootstrapFirst(options);
-  EXPECT_TRUE(sys.ok()) << sys.status().ToString();
-  return std::move(*sys);
+  return options;
 }
 
 bool NetWaitFor(const std::function<bool()>& pred, uint64_t timeout_ms = 5000) {
@@ -1925,17 +1771,11 @@ TEST(NetChaosTest, DroppedPrePrepareRepairedByGapFetch) {
   // injection. Node 1 still sees node 2's votes (a block-less pending
   // entry) and must pull the block via kFetchBlocks on the next round —
   // the fault.net.send.drop recovery signal.
-  chain::NetworkSim sim = chain::NetworkSim::SingleZone(3);
-  SimHub hub(&sim, ChaosSeed());
-  std::vector<std::unique_ptr<ConfideSystem>> systems;
-  std::vector<std::unique_ptr<ClusterNode>> nodes;
-  for (uint32_t i = 0; i < 3; ++i) {
-    systems.push_back(NetChaosSystem());
-    ASSERT_NE(systems[i], nullptr);
-    nodes.push_back(std::make_unique<ClusterNode>(
-        systems[i].get(), std::make_unique<SimTransport>(&hub, i)));
-    ASSERT_TRUE(nodes[i]->Start().ok());
-  }
+  net::SimCluster cluster(3, NetChaosOptions(), {}, ChaosSeed());
+  ASSERT_TRUE(cluster.status.ok()) << cluster.status.ToString();
+  auto& systems = cluster.systems;
+  auto& nodes = cluster.nodes;
+  SimHub& hub = cluster.hub;
   Client client(99, systems[0]->pk_tx());
   auto code = lang::Compile(kNetCounterSource, lang::VmTarget::kCvm);
   ASSERT_TRUE(code.ok());
@@ -2077,22 +1917,14 @@ TEST(NetChaosTest, CorruptedInboundByteDropsStreamThenRecovers) {
 // byte-identical tips, and report recovery for each injected fault.
 // ---------------------------------------------------------------------------
 
-struct ViewChaosCluster {
-  ViewChaosCluster()
-      : sim(chain::NetworkSim::SingleZone(4)), hub(&sim, ChaosSeed()) {
-    for (uint32_t i = 0; i < 4; ++i) {
-      systems.push_back(NetChaosSystem());
-      nodes.push_back(std::make_unique<ClusterNode>(
-          systems[i].get(), std::make_unique<SimTransport>(&hub, i)));
-      EXPECT_TRUE(nodes[i]->Start().ok());
-    }
-    client = std::make_unique<Client>(99, systems[0]->pk_tx());
+struct ViewChaosCluster : net::SimCluster {
+  explicit ViewChaosCluster(uint32_t n = 4, net::ClusterOptions options = {},
+                            uint64_t hub_seed = ChaosSeed())
+      : SimCluster(n, NetChaosOptions(), options, hub_seed) {
+    EXPECT_TRUE(status.ok()) << status.ToString();
     auto code = lang::Compile(kNetCounterSource, lang::VmTarget::kCvm);
     EXPECT_TRUE(code.ok());
     deploy_payload = NetDeployPayload(*code);
-  }
-  ~ViewChaosCluster() {
-    for (auto& node : nodes) node->Stop();
   }
 
   /// Commits the counter deploy under the view-0 leader; returns the
@@ -2117,20 +1949,30 @@ struct ViewChaosCluster {
                     .ok());
   }
 
-  void ExpectSurvivorsConverged(uint64_t height, uint64_t view) {
-    for (uint32_t i = 1; i < 4; ++i) {
+  /// Nodes `first`..n-1 share `view`, `height` and one tip.
+  void ExpectSurvivorsConverged(uint64_t height, uint64_t view, uint32_t first = 1) {
+    for (uint32_t i = first; i < nodes.size(); ++i) {
       EXPECT_EQ(nodes[i]->view(), view) << "node " << i;
       EXPECT_EQ(nodes[i]->Height(), height) << "node " << i;
-      EXPECT_EQ(nodes[i]->TipHash(), nodes[1]->TipHash()) << "node " << i;
+      EXPECT_EQ(nodes[i]->TipHash(), nodes[first]->TipHash()) << "node " << i;
     }
   }
 
+  /// A block at node `id`'s tip packed by its system alone: the material
+  /// a byzantine endpoint in that node's slot proposes.
+  chain::Block ForgeBlock(uint32_t id) {
+    Submit(id, "increment");
+    EXPECT_TRUE(systems[id]->node()->PreVerify().ok());
+    auto block = systems[id]->node()->ProposeBlock();
+    EXPECT_TRUE(block.ok() && block->transactions.size() == 1);
+    return *block;
+  }
+
+  bool Committed(uint32_t id, const chain::Block& block) {
+    return systems[id]->node()->GetReceipt(block.transactions[0].Hash()).ok();
+  }
+
   chain::Address addr = chain::NamedAddress("viewchaos.counter");
-  chain::NetworkSim sim;
-  SimHub hub;
-  std::vector<std::unique_ptr<ConfideSystem>> systems;
-  std::vector<std::unique_ptr<ClusterNode>> nodes;
-  std::unique_ptr<Client> client;
   Bytes deploy_payload;
 };
 
@@ -2299,6 +2141,261 @@ TEST(ViewChangeChaosTest, ForgedStaleNewViewRejectedByEveryReplica) {
   }
   EXPECT_TRUE(c.nodes[1]->is_leader());
   EXPECT_GT(recovered->Value(), recovered_before);
+}
+
+// ---------------------------------------------------------------------------
+// Consensus under replica faults: crashed, hung, silent, equivocating and
+// partitioned replicas against the real ClusterNode protocol, with the
+// failure detector ticking in the SimHub's virtual time. Elections here
+// are timer-driven (no StartViewChange), so every run of a seed is equal.
+// ---------------------------------------------------------------------------
+
+/// Failure detector on: 50 ms heartbeats, 400 ms base election timeout.
+net::ClusterOptions TimerOptions() {
+  net::ClusterOptions options;
+  options.heartbeat_ms = 50;
+  options.view_timeout_ms = 400;
+  return options;
+}
+constexpr uint64_t kViewTimeoutNs = 400'000'000;
+
+/// A raw endpoint in node `id`'s slot that receives everything and sends
+/// only what the test makes it send.
+std::unique_ptr<SimTransport> RawEndpoint(ViewChaosCluster* c, uint32_t id) {
+  c->nodes[id]->Stop();
+  auto endpoint = std::make_unique<SimTransport>(&c->hub, id);
+  endpoint->SetHandler([](uint32_t, MsgType, ByteView) { return std::optional<OwnedFrame>(); });
+  EXPECT_TRUE(endpoint->Start().ok());
+  return endpoint;
+}
+
+void SendPrePrepare(SimTransport* from, uint32_t to, uint64_t view,
+                    const chain::Block& block) {
+  serialize::RlpWriter w;
+  size_t mark = w.BeginList();
+  w.WriteU64(view);
+  w.WriteU64(block.header.height);
+  w.WriteBytes(ByteView(block.Serialize()));
+  w.EndList(mark);
+  EXPECT_TRUE(from->Send(to, MsgType::kPrePrepare, std::move(w).Take()).ok());
+}
+
+TEST(ConsensusFaultTest, HungLeaderReplacedByTimerDrivenElection) {
+  ViewChaosCluster c(4, TimerOptions());
+  const uint64_t h1 = c.DeployAndCommit();
+  auto* recovered = metrics::GetCounter("fault.net.leader_crash.recovered");
+  const uint64_t recovered_before = recovered->Value();
+  c.Submit(1, "increment");  // waits in the successor's pool
+  const uint64_t hung_at = c.hub.now_ns();
+  {
+    FaultPlan plan(ChaosSeed());
+    // The leader's next tick draws the fault: no heartbeats, no proposals.
+    plan.Arm("fault.net.leader_crash", Trigger{.one_shot = true});
+    ASSERT_TRUE(c.RunUntil([&] { return c.nodes[1]->is_leader(); }));
+    EXPECT_EQ(FaultInjector::Global().FiredCount("fault.net.leader_crash"), 1u);
+  }
+  ASSERT_TRUE(c.nodes[1]->ProposeOnce().ok());
+  c.hub.DeliverAll();
+  // The commit lands only after the replicas sat out a view timeout; the
+  // hung node follows as a replica, which is its recovery signal.
+  EXPECT_GT(c.hub.now_ns() - hung_at, kViewTimeoutNs);
+  c.ExpectSurvivorsConverged(h1 + 1, 1, /*first=*/0);
+  EXPECT_GT(recovered->Value(), recovered_before);
+}
+
+TEST(ConsensusFaultTest, TwoDeadLeadersTakeTwoTimerDrivenElections) {
+  ViewChaosCluster c(7, TimerOptions());  // f = 2
+  const uint64_t h1 = c.DeployAndCommit();
+  c.nodes[0]->Stop();
+  c.nodes[1]->Stop();  // leaders of views 0 and 1
+  c.Submit(2, "increment");
+  const uint64_t crashed_at = c.hub.now_ns();
+  ASSERT_TRUE(c.RunUntil([&] { return c.nodes[2]->is_leader(); }));
+  const uint64_t view = c.nodes[2]->view();
+  EXPECT_GE(view, 2u);
+  ASSERT_TRUE(c.nodes[2]->ProposeOnce().ok());
+  c.hub.DeliverAll();
+  // Replicas that joined view 1 on the f+1 rule escalate to view 2 when
+  // their own timer runs out, so the dead successor costs less than a
+  // second full timeout.
+  EXPECT_GT(c.hub.now_ns() - crashed_at, kViewTimeoutNs);
+  c.ExpectSurvivorsConverged(h1 + 1, view, /*first=*/2);
+  EXPECT_EQ(c.nodes[0]->Height(), h1);  // the dead never commit
+}
+
+TEST(ConsensusFaultTest, SilentReplicaDoesNotBlockCommit) {
+  ViewChaosCluster c;
+  const uint64_t h1 = c.DeployAndCommit();
+  auto silent = RawEndpoint(&c, 1);  // hears every frame, answers none
+  c.Submit(0, "increment");
+  ASSERT_TRUE(c.nodes[0]->ProposeOnce().ok());
+  c.hub.DeliverAll();
+  for (uint32_t i : {0u, 2u, 3u}) {
+    EXPECT_EQ(c.nodes[i]->view(), 0u) << "node " << i;
+    EXPECT_EQ(c.nodes[i]->Height(), h1 + 1) << "node " << i;
+  }
+}
+
+TEST(ConsensusFaultTest, EquivocatingLeaderForkNeverCommits) {
+  ViewChaosCluster c(4, TimerOptions());
+  const uint64_t h1 = c.DeployAndCommit();
+  // The view-0 leader sends block A to node 1 and block B to nodes 2-3 at
+  // the same seq. B prepares (3 prepares) but cannot commit-quorum; A
+  // cannot even prepare. The replicas time out, and view 1 re-proposes
+  // the prepared B: one value commits, the fork never does.
+  auto forger = RawEndpoint(&c, 0);
+  const chain::Block a = c.ForgeBlock(0);
+  const chain::Block b = c.ForgeBlock(0);
+  SendPrePrepare(forger.get(), 1, 0, a);
+  SendPrePrepare(forger.get(), 2, 0, b);
+  SendPrePrepare(forger.get(), 3, 0, b);
+  ASSERT_TRUE(c.RunUntil([&] { return c.nodes[1]->Height() > h1; }));
+  c.hub.DeliverAll();
+  c.ExpectSurvivorsConverged(h1 + 1, c.nodes[1]->view());
+  EXPECT_GE(c.nodes[1]->view(), 1u);
+  for (uint32_t i = 1; i < 4; ++i) {
+    EXPECT_TRUE(c.Committed(i, b)) << "node " << i;
+    EXPECT_FALSE(c.Committed(i, a)) << "node " << i;
+  }
+}
+
+TEST(ConsensusFaultTest, VotesBeforeThePrePrepareCountOnlyForTheirDigest) {
+  ViewChaosCluster c;
+  c.DeployAndCommit();
+  // Nodes 2-3 get block B and prepare it; their prepares reach node 1
+  // before any pre-prepare does. When block A then arrives at node 1,
+  // those B votes must not complete a prepare quorum for A.
+  auto forger = RawEndpoint(&c, 0);
+  size_t commits_from_1 = 0;
+  forger->SetHandler([&](uint32_t from, MsgType type, ByteView) {
+    commits_from_1 += from == 1 && type == MsgType::kCommit;
+    return std::optional<OwnedFrame>();
+  });
+  const chain::Block a = c.ForgeBlock(0);
+  const chain::Block b = c.ForgeBlock(0);
+  SendPrePrepare(forger.get(), 2, 0, b);
+  SendPrePrepare(forger.get(), 3, 0, b);
+  c.hub.DeliverAll();
+  SendPrePrepare(forger.get(), 1, 0, a);
+  c.hub.DeliverAll();
+  EXPECT_EQ(commits_from_1, 0u);
+}
+
+TEST(ConsensusFaultTest, EquivocatingSuccessorOfDeadLeaderForkNeverCommits) {
+  ViewChaosCluster c(7, TimerOptions());  // f = 2: tolerates both
+  const uint64_t h1 = c.DeployAndCommit();
+  c.nodes[0]->Stop();
+  // Node 1 leads view 1 and is byzantine: once the replicas' view-changes
+  // reach it, it announces view 1 and splits A/B 3:2 — neither reaches
+  // the prepare quorum of 5. The honest majority times out again, elects
+  // view 2, and commits exactly one (fresh) value.
+  auto forger = RawEndpoint(&c, 1);
+  size_t view_changes = 0;
+  forger->SetHandler([&](uint32_t, MsgType type, ByteView) {
+    view_changes += type == MsgType::kViewChange;
+    return std::optional<OwnedFrame>();
+  });
+  ASSERT_TRUE(c.RunUntil([&] { return view_changes >= 5; }));
+  const chain::Block a = c.ForgeBlock(1);
+  const chain::Block b = c.ForgeBlock(1);
+  serialize::RlpWriter new_view;
+  size_t mark = new_view.BeginList();
+  new_view.WriteU64(1);
+  new_view.WriteU64(0);
+  new_view.EndList(mark);
+  ASSERT_TRUE(forger->Broadcast(MsgType::kNewView, std::move(new_view).Take()).ok());
+  for (uint32_t i = 2; i < 7; ++i) SendPrePrepare(forger.get(), i, 1, i < 5 ? a : b);
+  c.Submit(2, "increment");
+  ASSERT_TRUE(c.RunUntil([&] { return c.nodes[2]->is_leader(); }));
+  ASSERT_TRUE(c.nodes[2]->ProposeOnce().ok());
+  c.hub.DeliverAll();
+  c.ExpectSurvivorsConverged(h1 + 1, c.nodes[2]->view(), /*first=*/2);
+  EXPECT_GE(c.nodes[2]->view(), 2u);
+  for (uint32_t i = 2; i < 7; ++i) {
+    EXPECT_FALSE(c.Committed(i, a) || c.Committed(i, b)) << "node " << i;
+  }
+}
+
+TEST(ConsensusFaultTest, TwoOfFourCrashedNeverCommit) {
+  ViewChaosCluster c(4, TimerOptions());  // quorum 3
+  const uint64_t h1 = c.DeployAndCommit();
+  auto* elections = metrics::GetCounter("cluster.view.change.count");
+  const uint64_t elections_before = elections->Value();
+  c.nodes[0]->Stop();
+  c.nodes[1]->Stop();
+  c.Submit(2, "increment");
+  // Ten virtual seconds of escalating elections; none can gather 3 votes.
+  EXPECT_FALSE(c.RunUntil([&] { return c.nodes[2]->view() + c.nodes[3]->view() > 0; },
+                          10'000));
+  EXPECT_GE(elections->Value() - elections_before, 4u);
+  c.ExpectSurvivorsConverged(h1, 0, /*first=*/2);
+}
+
+TEST(ConsensusFaultTest, EvenPartitionBlocksMajoritySideCommits) {
+  ViewChaosCluster c;
+  const uint64_t h1 = c.DeployAndCommit();
+  auto* unreachable = metrics::GetCounter("net.send.unreachable.count");
+  const uint64_t unreachable_before = unreachable->Value();
+  ASSERT_TRUE(c.sim.SetPartition(2, 1).ok());
+  ASSERT_TRUE(c.sim.SetPartition(3, 1).ok());  // 2/2: no side has 3
+  c.Submit(0, "increment");
+  auto seq = c.nodes[0]->ProposeOnce();
+  ASSERT_TRUE(seq.ok());
+  c.hub.DeliverAll();
+  EXPECT_GT(unreachable->Value(), unreachable_before);
+  for (uint32_t i = 0; i < 4; ++i) EXPECT_EQ(c.nodes[i]->Height(), h1) << "node " << i;
+
+  c.sim.HealPartitions();
+  ASSERT_TRUE(c.sim.SetPartition(3, 1).ok());  // 3/1: the majority commits
+  ASSERT_TRUE(c.nodes[0]->Retransmit(*seq).ok());
+  c.hub.DeliverAll();
+  for (uint32_t i = 0; i < 3; ++i) EXPECT_EQ(c.nodes[i]->Height(), h1 + 1) << "node " << i;
+  EXPECT_EQ(c.nodes[3]->Height(), h1);  // the isolated node never does
+}
+
+TEST(ConsensusFaultTest, LossyJitteredLinksAreDeterministicPerHubSeed) {
+  // Six rounds on 7 nodes over links that lose 10% of frames and jitter
+  // by up to 50 us, plus 5% injected drops. Returns every (virtual time,
+  // node, height) commit event, then the frames sent and dropped. Loss can
+  // strand a replica that missed its commit votes (the sim has no
+  // LeaderTick retransmit), so the claim is determinism, not convergence.
+  auto run = [] {
+    ViewChaosCluster c(7, TimerOptions(), /*hub_seed=*/42);
+    c.DeployAndCommit();
+    chain::LinkModel lossy;
+    lossy.drop_rate = 0.1;
+    lossy.jitter_ns = 50'000;
+    EXPECT_TRUE(c.sim.SetLink(0, 0, lossy).ok());
+    auto* sent = metrics::GetCounter("net.send.count");
+    auto* dropped = metrics::GetCounter("net.send.drop.count");
+    const uint64_t sent_before = sent->Value();
+    const uint64_t dropped_before = dropped->Value();
+    FaultPlan plan(42);
+    plan.Arm("fault.net.send.drop", Trigger{.probability = 0.05});
+    std::vector<uint64_t> trace, heights(7, c.nodes[0]->Height());
+    for (int round = 0; round < 6; ++round) {
+      uint64_t view = 0;
+      for (auto& node : c.nodes) view = std::max(view, node->view());
+      const uint32_t leader = uint32_t(view % 7);
+      c.Submit(leader, "increment");
+      (void)c.nodes[leader]->ProposeOnce();
+      for (int ms = 0; ms < 300; ++ms) {
+        c.hub.RunUntil(c.hub.now_ns() + 1'000'000);
+        for (uint32_t i = 0; i < 7; ++i) {
+          if (c.nodes[i]->Height() == heights[i]) continue;
+          heights[i] = c.nodes[i]->Height();
+          trace.insert(trace.end(), {c.hub.now_ns(), i, heights[i]});
+        }
+      }
+    }
+    trace.push_back(sent->Value() - sent_before);
+    trace.push_back(dropped->Value() - dropped_before);
+    return trace;
+  };
+  const std::vector<uint64_t> a = run();
+  EXPECT_EQ(a, run());
+  EXPECT_GT(a.back(), 0u);  // frames were lost
+  EXPECT_GT(a.size(), 2u);  // and blocks still committed
 }
 
 }  // namespace netchaos

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <thread>
 
 #include "common/fault.h"
@@ -15,7 +16,8 @@ namespace confide::tee {
 namespace {
 
 // A trivial enclave used across these tests: fn 1 echoes input, fn 2
-// issues an ocall, fn 3 emits monitor records, fn 4 creates attestations.
+// issues an ocall, fn 3 emits monitor records (fn 6 through an ocall),
+// fn 4 creates attestations.
 class EchoEnclave : public Enclave {
  public:
   std::string CodeIdentity() const override { return "echo-enclave-v1"; }
@@ -33,6 +35,9 @@ class EchoEnclave : public Enclave {
         return ctx->OcallBatched(7, input, input.size());
       case 3:
         ctx->MonitorEmit(1, "status ok");
+        return Bytes{};
+      case 6:
+        ctx->MonitorEmitViaOcall(1, "status via ocall");
         return Bytes{};
       case 4: {
         Quote quote = ctx->CreateQuote(input);
@@ -462,6 +467,31 @@ TEST(MonitorRingTest, ConcurrentProducerConsumer) {
     }
   }
   producer.join();
+}
+
+TEST(MonitorTest, ConcurrentEmittersNeitherLoseNorDuplicateRecords) {
+  // Parallel pre-verify reaches one enclave from several host threads:
+  // every record is either drained or counted dropped, and none twice.
+  SimClock clock;
+  EnclavePlatform platform(TeeCostModel{}, &clock, 1);
+  auto id = platform.CreateEnclave(std::make_shared<EchoEnclave>(), 1 << 20);
+  ASSERT_TRUE(id.ok());
+  constexpr int kThreads = 4;
+  constexpr int kRecords = 500;
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < kThreads; ++t) {
+    emitters.emplace_back([&, t] {
+      for (int i = 0; i < kRecords; ++i) {
+        EXPECT_TRUE(platform.Ecall(*id, t % 2 == 0 ? 3 : 6, ByteView{}).ok());
+      }
+    });
+  }
+  for (auto& emitter : emitters) emitter.join();
+  std::set<uint64_t> seen;
+  for (const MonitorRecord& record : platform.DrainMonitor()) {
+    EXPECT_TRUE(seen.insert(record.sequence).second) << record.sequence;
+  }
+  EXPECT_EQ(seen.size() + platform.MonitorDropped(), size_t(kThreads * kRecords));
 }
 
 TEST(MonitorTest, ExitlessEmitAvoidsTransitions) {

@@ -37,7 +37,6 @@ from pathlib import Path
 # Sites not listed here model failures whose "recovery" is refusing to
 # proceed (e.g. a detected-stale bootstrap) or is observed elsewhere.
 RECOVERABLE_SITES = {
-    "fault.chain.leader_crash",
     "fault.chain.pipeline.stall",
     "fault.chain.sync.chunk_corrupt",
     "fault.chain.sync.chunk_drop",
@@ -47,6 +46,7 @@ RECOVERABLE_SITES = {
     "fault.chain.sync.stale_certificate",
     "fault.confide.provision",
     "fault.net.connect.fail",
+    "fault.net.leader_crash",
     "fault.net.recv.corrupt",
     "fault.net.send.drop",
     "fault.net.send.truncate",
