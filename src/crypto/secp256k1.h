@@ -3,11 +3,38 @@
 ///
 /// Provides ECDSA (transaction signatures, attestation report signatures)
 /// and ECDH (T-Protocol envelope key agreement, K-Protocol MAP channels).
-/// Field/scalar arithmetic uses 4x64-bit limbs with special-form reduction
-/// for p = 2^256 - 2^32 - 977; points use Jacobian coordinates.
+/// The techniques follow libsecp256k1 (github.com/bitcoin-core/secp256k1);
+/// no code is imported from it.
 ///
-/// This is a correctness-first portable implementation (not constant-time
-/// hardened — the host is a simulator, not production silicon).
+/// Algorithms:
+///  - Field elements mod p = 2^256 - 2^32 - 977 use five 52-bit limbs with
+///    weak normalization; products fold with 2^256 ≡ 2^32 + 977. Squaring
+///    has its own routine, inversion is a fixed addition chain for p - 2.
+///  - Points use Jacobian coordinates; doubling is 3M + 4S, addition has a
+///    mixed Jacobian+affine form.
+///  - EcdsaVerify computes u1·G + u2·Q in one Shamir pass. The GLV
+///    endomorphism splits each scalar into two ~128-bit halves, so the pass
+///    has ~129 doublings. u1's halves use width-8 NAF digits against static
+///    affine tables of the odd multiples of G and λ·G, built on first use;
+///    u2's halves use width-5 NAF digits against per-call tables for Q and
+///    λ·Q. Verify then checks r·Z^2 == X (and (r + n)·Z^2 == X when
+///    r + n < p) instead of inverting Z. s^-1 uses a binary extended
+///    Euclidean inverse.
+///  - Secret scalars go through a fixed-window (w = 4) multiply over
+///    signed odd digits: an even k is swapped for n - k, every one of the 64
+///    windows does four doublings and one addition, and each table lookup
+///    scans all eight entries with masks.
+///
+/// Timing: the secret-scalar paths run in constant time in the point and
+/// field layers: ECDH, DerivePublicKey/GenerateKeyPair, and the nonce
+/// multiply k·G inside EcdsaSign. Only EcdsaVerify, whose inputs are all
+/// public, is variable time (scalar splitting, wNAF recoding,
+/// exceptional-case branches, the Euclidean inverse).
+///
+/// Not hardened: the mod-n scalar arithmetic in EcdsaSign (reducing x(k·G)
+/// to r, k^-1 by Fermat, and s = k^-1·(z + r·d)) uses data-dependent
+/// reductions on the secret nonce and key, and range checks on secret
+/// scalars return early.
 
 #pragma once
 

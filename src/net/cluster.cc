@@ -612,6 +612,10 @@ void ClusterNode::OnViewChange(uint32_t from, ByteView body) {
   if (view_target_ < *new_view &&
       (view_changes_[*new_view].size() >= join_threshold ||
        LeaderOf(*new_view) == transport_->self_id())) {
+    // Joining starts this node's wait for the new leader: re-arm the
+    // election timer, or it would escalate past new_view as soon as the
+    // old leader's silence (not the new one's) outlasts the timeout.
+    last_leader_seen_ns_ = transport_->NowNs();
     StartViewChangeLocked(*new_view);
   } else {
     MaybeCompleteElectionLocked(*new_view);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <optional>
+#include <vector>
+
 #include "common/bytes.h"
 #include "common/endian.h"
 #include "crypto/aes.h"
@@ -10,6 +14,7 @@
 #include "crypto/merkle.h"
 #include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
+#include "secp256k1_reference.h"
 
 namespace confide::crypto {
 namespace {
@@ -490,6 +495,327 @@ TEST(Secp256k1Test, AddressIsLast20BytesOfKeccak) {
   auto addr = PublicKeyToAddress(kp.pub);
   Hash256 h = Keccak256::Digest(ByteView(kp.pub.data(), kp.pub.size()));
   EXPECT_EQ(0, std::memcmp(addr.data(), h.data() + 12, 20));
+}
+
+// ---------------------------------------------------------------------------
+// secp256k1: the optimized code against the double-and-add oracle
+// ---------------------------------------------------------------------------
+
+namespace ref = reference;
+
+ref::U256 RefScalar(uint64_t x) { return ref::U256::FromU64(x); }
+
+std::array<uint8_t, 32> ScalarBytes(const ref::U256& x) {
+  std::array<uint8_t, 32> out;
+  x.ToBytesBe(out.data());
+  return out;
+}
+
+Signature MakeSignature(const ref::U256& r, const ref::U256& s) {
+  Signature sig;
+  r.ToBytesBe(sig.data());
+  s.ToBytesBe(sig.data() + 32);
+  return sig;
+}
+
+PublicKey EncodeRef(const ref::AffinePoint& p) {
+  PublicKey out;
+  ref::EncodePoint(p, &out);
+  return out;
+}
+
+ref::U256 NNeg(const ref::U256& x) {
+  ref::U256 out;
+  ref::SubBorrow(ref::kN, x, &out);
+  return out;
+}
+
+bool LowS(const ref::U256& s) { return ref::Cmp(s, ref::kHalfN) <= 0; }
+
+// Runs verify through both implementations, requires them to agree, and
+// returns the verdict.
+bool VerifyBoth(const PublicKey& pub, const Hash256& digest, const Signature& sig) {
+  bool fast = EcdsaVerify(pub, digest, sig);
+  EXPECT_EQ(fast, ref::EcdsaVerify(pub, digest, sig));
+  return fast;
+}
+
+TEST(Secp256k1DifferentialTest, MatchesReferenceOnRandomInputs) {
+  constexpr int kCases = 2000;
+  Drbg rng(0x5ec9);
+  KeyPair other = ref::GenerateKeyPair(&rng);
+  for (int i = 0; i < kCases; ++i) {
+    SCOPED_TRACE(i);
+    KeyPair kp = ref::GenerateKeyPair(&rng);
+    auto pub = DerivePublicKey(kp.priv);
+    ASSERT_TRUE(pub.ok());
+    ASSERT_EQ(*pub, kp.pub);
+
+    Hash256 digest;
+    rng.Fill(digest.data(), digest.size());
+    if (i % 97 == 0) digest.fill(0xff);  // z >= n: exercises the mod-n reduction
+
+    auto sig = EcdsaSign(kp.priv, digest);
+    auto ref_sig = ref::EcdsaSign(kp.priv, digest);
+    ASSERT_TRUE(sig.ok() && ref_sig.ok());
+    ASSERT_EQ(*sig, *ref_sig);  // deterministic nonces: byte-identical
+
+    auto shared = EcdhSharedSecret(kp.priv, other.pub);
+    auto ref_shared = ref::EcdhSharedSecret(kp.priv, other.pub);
+    ASSERT_TRUE(shared.ok() && ref_shared.ok());
+    ASSERT_EQ(*shared, *ref_shared);
+
+    EXPECT_TRUE(VerifyBoth(kp.pub, digest, *sig));
+    // One tampered variant per case, rotating through the five kinds.
+    Signature bad_sig = *sig;
+    Hash256 bad_digest = digest;
+    PublicKey bad_pub = kp.pub;
+    size_t bit = size_t(rng.NextBounded(256));
+    switch (i % 5) {
+      case 0:  // a flipped bit in r
+        bad_sig[bit / 8] ^= uint8_t(1 << (bit % 8));
+        break;
+      case 1:  // a flipped bit in s
+        bad_sig[32 + bit / 8] ^= uint8_t(1 << (bit % 8));
+        break;
+      case 2:  // a flipped bit in the digest
+        bad_digest[bit / 8] ^= uint8_t(1 << (bit % 8));
+        break;
+      case 3:  // the wrong key
+        bad_pub = other.pub;
+        break;
+      case 4: {  // the high-s twin (r, n - s)
+        ref::U256 s = ref::U256::FromBytesBe(sig->data() + 32);
+        bad_sig = MakeSignature(ref::U256::FromBytesBe(sig->data()), NNeg(s));
+        break;
+      }
+    }
+    EXPECT_FALSE(VerifyBoth(bad_pub, bad_digest, bad_sig));
+  }
+}
+
+TEST(Secp256k1EdgeTest, SmallAndExtremeScalarsMatchReference) {
+  ref::U256 two128;
+  two128.v[2] = 1;
+  ref::U256 n_minus_1 = NNeg(RefScalar(1));
+  for (const ref::U256& k :
+       {RefScalar(1), RefScalar(2), RefScalar(3), two128, ref::kHalfN, n_minus_1}) {
+    PrivateKey priv = ScalarBytes(k);
+    auto pub = DerivePublicKey(priv);
+    auto expected = ref::DerivePublicKey(priv);
+    ASSERT_TRUE(pub.ok() && expected.ok());
+    EXPECT_EQ(*pub, *expected) << HexEncode(ByteView(priv.data(), priv.size()));
+  }
+  // (n-1)·G = -G: same x, y = p - y(G).
+  auto minus_g = DerivePublicKey(ScalarBytes(n_minus_1));
+  ASSERT_TRUE(minus_g.ok());
+  ref::AffinePoint neg = ref::kG;
+  neg.y = ref::FSub(ref::U256(), ref::kG.y);
+  EXPECT_EQ(*minus_g, EncodeRef(neg));
+}
+
+// Verify splits u1 and u2 as k1 + k2·λ and adds λ·P as (β·x, y). λ·G
+// computed by the constant-time ladder must be exactly that point.
+TEST(Secp256k1EdgeTest, EndomorphismConstants) {
+  auto lambda = HexDecode("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+  auto beta = HexDecode("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
+  ASSERT_TRUE(lambda.ok() && beta.ok());
+  PrivateKey lambda_key;
+  std::memcpy(lambda_key.data(), lambda->data(), 32);
+  auto lambda_g = DerivePublicKey(lambda_key);
+  ASSERT_TRUE(lambda_g.ok());
+  ref::AffinePoint expected = ref::kG;
+  expected.x = ref::FMul(ref::U256::FromBytesBe(beta->data()), ref::kG.x);
+  EXPECT_EQ(*lambda_g, EncodeRef(expected));
+}
+
+// A digest equal to n reduces to z = 0, so u1 = 0 and the G half of the
+// joint loop is empty.
+TEST(Secp256k1EdgeTest, DigestReducingToZero) {
+  Drbg rng(0x2e70);
+  KeyPair kp = ref::GenerateKeyPair(&rng);
+  Hash256 digest = ScalarBytes(ref::kN);
+  auto sig = EcdsaSign(kp.priv, digest);
+  auto ref_sig = ref::EcdsaSign(kp.priv, digest);
+  ASSERT_TRUE(sig.ok() && ref_sig.ok());
+  EXPECT_EQ(*sig, *ref_sig);
+  EXPECT_TRUE(VerifyBoth(kp.pub, digest, *sig));
+  EXPECT_TRUE(VerifyBoth(kp.pub, Hash256{}, *sig));  // z = 0 directly
+}
+
+// u1 = u2 = u with u < 16 puts the same small digit at position 0 of both
+// wNAF recodings, so the joint loop adds u·Q and then u·G to an empty
+// accumulator: Q = G hits the doubling case, Q = -G cancels to infinity.
+// With r = x(2u·G), s = r/u and z = r the signature is valid for Q = G; for
+// Q = -G it must fail, and would pass if the cancellation were doubled.
+TEST(Secp256k1EdgeTest, VerifyWithQEqualToPlusAndMinusG) {
+  PublicKey g = EncodeRef(ref::kG);
+  auto minus_g = DerivePublicKey(ScalarBytes(NNeg(RefScalar(1))));
+  ASSERT_TRUE(minus_g.ok());
+  int cases = 0;
+  for (uint64_t u = 1; u < 16; u += 2) {
+    SCOPED_TRACE(u);
+    ref::AffinePoint big_r =
+        ref::ToAffine(ref::ScalarMult(RefScalar(2 * u), ref::kG));
+    ref::U256 r = big_r.x;
+    while (ref::Cmp(r, ref::kN) >= 0) ref::SubBorrow(r, ref::kN, &r);
+    ref::U256 s = ref::NMul(r, ref::NInv(RefScalar(u)));
+    if (!LowS(s)) continue;
+    ++cases;
+    EXPECT_TRUE(VerifyBoth(g, ScalarBytes(r), MakeSignature(r, s)));
+    EXPECT_FALSE(VerifyBoth(*minus_g, ScalarBytes(r), MakeSignature(r, s)));
+  }
+  EXPECT_GT(cases, 0);
+
+  // Ordinary signatures under the keys 1 and n - 1 still verify.
+  Hash256 digest = Sha256::Digest(AsByteView("edge keys"));
+  for (const ref::U256& d : {RefScalar(1), NNeg(RefScalar(1))}) {
+    PrivateKey priv = ScalarBytes(d);
+    auto pub = DerivePublicKey(priv);
+    auto sig = EcdsaSign(priv, digest);
+    ASSERT_TRUE(pub.ok() && sig.ok());
+    EXPECT_TRUE(VerifyBoth(*pub, digest, *sig));
+  }
+}
+
+// u = n - 1 has ones in bits 129..255, so both wNAF widths end in a
+// negative digit whose carry runs into digit 256.
+TEST(Secp256k1EdgeTest, WnafCarryIntoBit256) {
+  Drbg rng(0xca77);
+  int u2_cases = 0, u1_cases = 0;
+  for (int attempt = 0; attempt < 64 && (u2_cases < 4 || u1_cases < 4); ++attempt) {
+    KeyPair kp = ref::GenerateKeyPair(&rng);
+    KeyPair nonce = ref::GenerateKeyPair(&rng);
+    ref::U256 d = ref::PrivToScalar(kp.priv);
+    ref::U256 k = ref::PrivToScalar(nonce.priv);
+    ref::U256 r = ref::U256::FromBytesBe(nonce.pub.data());
+    while (ref::Cmp(r, ref::kN) >= 0) ref::SubBorrow(r, ref::kN, &r);
+    ref::U256 rd = ref::NMul(r, d);
+
+    // u2 = r/s = n - 1: s = n - r, z = s·k - r·d.
+    ref::U256 s = NNeg(r);
+    if (LowS(s)) {
+      ++u2_cases;
+      ref::U256 z = ref::NAdd(ref::NMul(s, k), NNeg(rd));
+      EXPECT_TRUE(VerifyBoth(kp.pub, ScalarBytes(z), MakeSignature(r, s)));
+    }
+    // u1 = z/s = n - 1: z = -s, so s·(k + 1) = r·d.
+    s = ref::NMul(rd, ref::NInv(ref::NAdd(k, RefScalar(1))));
+    if (LowS(s)) {
+      ++u1_cases;
+      ref::U256 z = NNeg(s);
+      EXPECT_TRUE(VerifyBoth(kp.pub, ScalarBytes(z), MakeSignature(r, s)));
+    }
+  }
+  EXPECT_GE(u2_cases, 4);
+  EXPECT_GE(u1_cases, 4);
+}
+
+// The curve point with this x and an even-or-odd y, if x^3 + 7 is a square
+// mod p. p ≡ 3 (mod 4), so a root is (x^3 + 7)^((p + 1) / 4).
+std::optional<ref::AffinePoint> PointWithX(const ref::U256& x, bool odd_y) {
+  ref::U256 exp;
+  ref::AddCarry(ref::kP, RefScalar(1), &exp);
+  for (int i = 0; i < 4; ++i) exp.v[i] = (exp.v[i] >> 2) | (i < 3 ? exp.v[i + 1] << 62 : 0);
+  ref::AffinePoint pt;
+  pt.x = x;
+  ref::U256 rhs = ref::FAdd(ref::FMul(ref::FSqr(x), x), RefScalar(7));
+  pt.y = ref::FPow(rhs, exp);
+  if (!(ref::FSqr(pt.y) == rhs)) return std::nullopt;
+  if (pt.y.Bit(0) != odd_y) pt.y = ref::FSub(ref::U256(), pt.y);
+  return pt;
+}
+
+// A valid (Q, z, r, s) whose verification recomputes the chosen point R:
+// pick u1 and u2, solve Q = u2^-1·(R - u1·G), then s = r/u2 and z = u1·s.
+// r is x(R) reduced mod n. Retries u2 until s is low.
+struct ForgedCase {
+  PublicKey q;
+  Hash256 z;
+  Signature sig;
+};
+ForgedCase SignatureThroughPoint(const ref::AffinePoint& big_r, Drbg* rng) {
+  ref::U256 r = big_r.x;
+  while (ref::Cmp(r, ref::kN) >= 0) ref::SubBorrow(r, ref::kN, &r);
+  for (;;) {
+    ref::U256 u1 = ref::PrivToScalar(ref::GenerateKeyPair(rng).priv);
+    ref::U256 u2 = ref::PrivToScalar(ref::GenerateKeyPair(rng).priv);
+    ref::U256 s = ref::NMul(r, ref::NInv(u2));
+    if (!LowS(s)) continue;
+    ref::AffinePoint u1g = ref::ToAffine(ref::ScalarMult(u1, ref::kG));
+    u1g.y = ref::FSub(ref::U256(), u1g.y);
+    ref::AffinePoint diff =
+        ref::ToAffine(ref::Add(ref::ToJacobian(big_r), ref::ToJacobian(u1g)));
+    return {EncodeRef(ref::ToAffine(ref::ScalarMult(ref::NInv(u2), diff))),
+            ScalarBytes(ref::NMul(u1, s)), MakeSignature(r, s)};
+  }
+}
+
+// A signature whose R has x(R) in [n, p): then r = x(R) - n, and verify
+// must take its r + n comparison.
+TEST(Secp256k1EdgeTest, VerifyWhereXOfRExceedsN) {
+  std::optional<ref::AffinePoint> big_r;
+  for (uint64_t t = 1; !big_r; ++t) {
+    ref::U256 x;
+    ref::AddCarry(ref::kN, RefScalar(t), &x);
+    big_r = PointWithX(x, false);
+  }
+  ASSERT_GE(ref::Cmp(big_r->x, ref::kN), 0);
+  Drbg rng(0x7e5);
+  for (int i = 0; i < 3; ++i) {
+    ForgedCase c = SignatureThroughPoint(*big_r, &rng);
+    EXPECT_TRUE(VerifyBoth(c.q, c.z, c.sig));
+    c.z[31] ^= 1;
+    EXPECT_FALSE(VerifyBoth(c.q, c.z, c.sig));
+  }
+}
+
+// Field elements live in five 52-bit limbs. Points whose coordinates sit
+// at limb boundaries, just below p, or are tiny go through key validation,
+// ECDH (as the peer key) and verify (as R and as the derived Q), against
+// the 4x64-bit oracle.
+TEST(Secp256k1DifferentialTest, FieldLimbBoundaryCoordinates) {
+  std::vector<ref::U256> xs;
+  for (uint64_t t = 1; t <= 8; ++t) {
+    ref::U256 x;
+    ref::SubBorrow(ref::kP, RefScalar(t), &x);  // p - t
+    xs.push_back(x);
+    xs.push_back(RefScalar(t));
+  }
+  for (int bit : {52, 104, 156, 208, 255}) {
+    for (int delta : {-1, 0, 1}) {
+      ref::U256 x;
+      x.v[bit / 64] = uint64_t(1) << (bit % 64);
+      if (delta < 0) ref::SubBorrow(x, RefScalar(1), &x);
+      if (delta > 0) ref::AddCarry(x, RefScalar(1), &x);
+      xs.push_back(x);
+    }
+  }
+  Drbg rng(0xf1e1d);
+  KeyPair me = ref::GenerateKeyPair(&rng);
+  int points = 0;
+  for (const ref::U256& x : xs) {
+    for (bool odd : {false, true}) {
+      auto pt = PointWithX(x, odd);
+      if (!pt) continue;
+      ++points;
+      PublicKey pub = EncodeRef(*pt);
+      SCOPED_TRACE(HexEncode(ByteView(pub.data(), pub.size())));
+      ASSERT_TRUE(IsValidPublicKey(pub));
+      auto shared = EcdhSharedSecret(me.priv, pub);
+      auto ref_shared = ref::EcdhSharedSecret(me.priv, pub);
+      ASSERT_TRUE(shared.ok() && ref_shared.ok());
+      EXPECT_EQ(*shared, *ref_shared);
+      ForgedCase c = SignatureThroughPoint(*pt, &rng);
+      EXPECT_TRUE(VerifyBoth(c.q, c.z, c.sig));
+      EXPECT_FALSE(VerifyBoth(pub, c.z, c.sig));
+    }
+  }
+  EXPECT_GE(points, 10);
+  // Coordinates at or above p are not canonical encodings.
+  PublicKey at_p = EncodeRef(ref::kG);
+  ref::kP.ToBytesBe(at_p.data());
+  EXPECT_FALSE(IsValidPublicKey(at_p));
 }
 
 // ---------------------------------------------------------------------------

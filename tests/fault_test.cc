@@ -2158,6 +2158,7 @@ net::ClusterOptions TimerOptions() {
   return options;
 }
 constexpr uint64_t kViewTimeoutNs = 400'000'000;
+constexpr uint64_t kHeartbeatNs = 50'000'000;
 
 /// A raw endpoint in node `id`'s slot that receives everything and sends
 /// only what the test makes it send.
@@ -2215,10 +2216,12 @@ TEST(ConsensusFaultTest, TwoDeadLeadersTakeTwoTimerDrivenElections) {
   EXPECT_GE(view, 2u);
   ASSERT_TRUE(c.nodes[2]->ProposeOnce().ok());
   c.hub.DeliverAll();
-  // Replicas that joined view 1 on the f+1 rule escalate to view 2 when
-  // their own timer runs out, so the dead successor costs less than a
-  // second full timeout.
-  EXPECT_GT(c.hub.now_ns() - crashed_at, kViewTimeoutNs);
+  // Each dead leader costs a full view timeout: replicas that joined
+  // view 1 on the f+1 rule re-armed their timer when they joined, so none
+  // escalates to view 2 before view 1's leader has had its own timeout.
+  // The first timeout runs from the last heartbeat, up to one heartbeat
+  // interval before the crash.
+  EXPECT_GT(c.hub.now_ns() - crashed_at, 2 * kViewTimeoutNs - kHeartbeatNs);
   c.ExpectSurvivorsConverged(h1 + 1, view, /*first=*/2);
   EXPECT_EQ(c.nodes[0]->Height(), h1);  // the dead never commit
 }
