@@ -260,16 +260,18 @@ int main(int argc, char** argv) {
                  code.status().ToString().c_str());
     return 1;
   }
-  const Bytes deploy_payload = DeployPayload(chain::VmKind::kCvm, *code);
+  const Bytes deploy_payload =
+      chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, *code);
   const chain::Address pub_addr = chain::NamedAddress(cfg.contracts + ".pub");
   const chain::Address conf_addr = chain::NamedAddress(cfg.contracts + ".conf");
   {
-    chain::Transaction tx =
-        client.MakePublicTx(pub_addr, "__deploy__", deploy_payload);
+    chain::Transaction tx = client.MakePublicTx(
+        pub_addr, chain::ContractRegistry::kDeployEntry, deploy_payload);
     MustAwaitReceipt(&http, MustSubmit(&http, tx));
   }
   {
-    auto sub = client.MakeConfidentialTx(conf_addr, "__deploy__", deploy_payload);
+    auto sub = client.MakeConfidentialTx(conf_addr, chain::ContractRegistry::kDeployEntry,
+                                         deploy_payload);
     if (!sub.ok()) return 1;
     const Bytes wire = MustAwaitReceipt(&http, MustSubmit(&http, sub->tx));
     // The stored receipt's `output` is the T-Protocol sealed blob.

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -27,6 +28,7 @@
 #include "common/metrics.h"
 #include "crypto/drbg.h"
 #include "serialize/flatlite.h"
+#include "serialize/rlp.h"
 #include "workloads/workloads.h"
 
 namespace confide::bench {
@@ -109,21 +111,55 @@ std::vector<Bytes> MakeAbsWires() {
 
 // --- Decode paths ------------------------------------------------------------
 
-/// The pre-zero-copy decode: build the RlpItem tree (one owning Bytes per
-/// field plus the variant list nodes), then materialize the struct — what
-/// Transaction::Deserialize did before the cursor API.
+/// The pre-zero-copy decode's data shape: an owning item tree, one Bytes
+/// per field plus a vector per list node.
+struct OwnedItem {
+  std::variant<Bytes, std::vector<OwnedItem>> value;
+
+  const Bytes& bytes() const { return std::get<Bytes>(value); }
+  const std::vector<OwnedItem>& list() const {
+    return std::get<std::vector<OwnedItem>>(value);
+  }
+  uint64_t U64() const { return MustU64(serialize::RlpU64Payload(bytes())); }
+};
+
+/// Copies every item of `reader`'s list into an owned tree.
+std::vector<OwnedItem> DecodeOwned(serialize::RlpReader reader) {
+  std::vector<OwnedItem> items;
+  while (!reader.AtEnd()) {
+    auto raw = reader.NextItem();
+    if (!raw.ok()) std::abort();
+    if ((*raw)[0] >= 0xc0) {  // list prefix
+      auto sub = serialize::RlpReader::AtList(*raw);
+      if (!sub.ok()) std::abort();
+      items.push_back(OwnedItem{DecodeOwned(*sub)});
+    } else {
+      auto field = serialize::RlpReader::OverPayload(*raw).NextBytes();
+      if (!field.ok()) std::abort();
+      items.push_back(OwnedItem{ToBytes(*field)});
+    }
+  }
+  return items;
+}
+
+std::vector<OwnedItem> DecodeOwned(const Bytes& wire) {
+  auto reader = serialize::RlpReader::AtList(wire);
+  if (!reader.ok()) std::abort();
+  return DecodeOwned(*reader);
+}
+
+/// The pre-zero-copy decode: build the owning tree, then materialize the
+/// struct — what Transaction::Deserialize did before the cursor API.
 uint64_t DecodeTxOwning(const Bytes& wire) {
-  auto item = serialize::RlpDecode(wire);
-  if (!item.ok() || !item->is_list()) std::abort();
-  const auto& f = item->list();
+  const std::vector<OwnedItem> f = DecodeOwned(wire);
   if (f.size() != 7) std::abort();
   chain::Transaction tx;
-  tx.type = chain::TxType(*f[0].AsU64());
+  tx.type = chain::TxType(f[0].U64());
   std::copy(f[1].bytes().begin(), f[1].bytes().end(), tx.sender.begin());
   std::copy(f[2].bytes().begin(), f[2].bytes().end(), tx.contract.begin());
   tx.entry.assign(f[3].bytes().begin(), f[3].bytes().end());
   tx.input = f[4].bytes();
-  tx.nonce = *f[5].AsU64();
+  tx.nonce = f[5].U64();
   std::copy(f[6].bytes().begin(), f[6].bytes().end(), tx.signature.begin());
   return tx.nonce + tx.input.size() + tx.entry.size();
 }
@@ -135,17 +171,15 @@ uint64_t DecodeTxView(const Bytes& wire) {
 }
 
 uint64_t DecodeReceiptOwning(const Bytes& wire) {
-  auto item = serialize::RlpDecode(wire);
-  if (!item.ok() || !item->is_list()) std::abort();
-  const auto& f = item->list();
-  if (f.size() != 6 || !f[4].is_list()) std::abort();
+  const std::vector<OwnedItem> f = DecodeOwned(wire);
+  if (f.size() != 6) std::abort();
   chain::Receipt receipt;
   std::copy(f[0].bytes().begin(), f[0].bytes().end(), receipt.tx_hash.begin());
-  receipt.success = *f[1].AsU64() != 0;
+  receipt.success = f[1].U64() != 0;
   receipt.status_message.assign(f[2].bytes().begin(), f[2].bytes().end());
   receipt.output = f[3].bytes();
   for (const auto& log : f[4].list()) receipt.logs.push_back(log.bytes());
-  receipt.gas_used = *f[5].AsU64();
+  receipt.gas_used = f[5].U64();
   return receipt.gas_used + receipt.output.size() + receipt.logs.size();
 }
 

@@ -13,17 +13,9 @@
 #include "common/metrics.h"
 #include "confide/system.h"
 #include "lang/compiler.h"
-#include "serialize/rlp.h"
 #include "workloads/workloads.h"
 
 namespace confide::bench {
-
-inline Bytes DeployPayload(chain::VmKind vm, const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(vm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
-}
 
 /// Wall-clock seconds for `fn`.
 inline double TimeSeconds(const std::function<void()>& fn) {
@@ -69,14 +61,14 @@ inline void MustDeploy(core::ConfideSystem* sys, core::Client* client,
   }
   chain::VmKind vm = target == lang::VmTarget::kCvm ? chain::VmKind::kCvm
                                                     : chain::VmKind::kEvm;
+  const Bytes payload = chain::ContractRegistry::EncodeDeploy(vm, *code);
+  const std::string entry = chain::ContractRegistry::kDeployEntry;
   chain::Transaction tx;
   if (confidential) {
-    auto sub = client->MakeConfidentialTx(chain::NamedAddress(name), "__deploy__",
-                                          DeployPayload(vm, *code));
+    auto sub = client->MakeConfidentialTx(chain::NamedAddress(name), entry, payload);
     tx = sub->tx;
   } else {
-    tx = client->MakePublicTx(chain::NamedAddress(name), "__deploy__",
-                              DeployPayload(vm, *code));
+    tx = client->MakePublicTx(chain::NamedAddress(name), entry, payload);
   }
   if (!sys->node()->SubmitTransaction(tx).ok()) std::abort();
   auto receipts = sys->RunToCompletion();

@@ -10,7 +10,6 @@
 
 #include "confide/system.h"
 #include "lang/compiler.h"
-#include "serialize/rlp.h"
 
 using namespace confide;
 
@@ -34,13 +33,6 @@ fn greet() {
   return count;
 }
 )";
-
-Bytes DeployPayload(chain::VmKind vm, const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(vm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
-}
 
 }  // namespace
 
@@ -81,8 +73,9 @@ int main() {
     return 1;
   }
   chain::Address addr = chain::NamedAddress("greeter");
-  auto deploy = client.MakeConfidentialTx(addr, "__deploy__",
-                                          DeployPayload(chain::VmKind::kCvm, *code));
+  auto deploy = client.MakeConfidentialTx(
+      addr, chain::ContractRegistry::kDeployEntry,
+      chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, *code));
   (void)(*sys)->node()->SubmitTransaction(deploy->tx);
   auto deploy_receipts = (*sys)->RunToCompletion();
   std::printf("contract deployed confidentially (%zu bytes of sealed code)\n",

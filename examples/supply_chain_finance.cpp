@@ -14,19 +14,11 @@
 
 #include "confide/system.h"
 #include "lang/compiler.h"
-#include "serialize/rlp.h"
 #include "workloads/workloads.h"
 
 using namespace confide;
 
 namespace {
-
-Bytes DeployPayload(const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(chain::VmKind::kCvm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
-}
 
 bool Run(core::ConfideSystem* sys, core::Client* client, const std::string& name,
          const std::string& entry, Bytes input, core::TxKey* k_tx = nullptr) {
@@ -79,7 +71,8 @@ int main() {
                    code.status().ToString().c_str());
       return 1;
     }
-    if (!Run(sys->get(), &supplier, name, "__deploy__", DeployPayload(*code))) {
+    if (!Run(sys->get(), &supplier, name, chain::ContractRegistry::kDeployEntry,
+             chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, *code))) {
       return 1;
     }
     std::printf("  %-16s deployed (%5zu bytes sealed bytecode)\n", name.c_str(),

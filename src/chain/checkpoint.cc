@@ -12,9 +12,8 @@ namespace confide::chain {
 
 namespace {
 
-using serialize::RlpDecode;
-using serialize::RlpEncode;
-using serialize::RlpItem;
+using serialize::RlpReader;
+using serialize::RlpWriter;
 
 constexpr std::string_view kCheckpointPrefix = "ckpt/";
 constexpr std::string_view kFreshnessPrefix = "fresh/";
@@ -41,19 +40,6 @@ struct CheckpointMetrics {
   }
 };
 
-RlpItem HashItem(const crypto::Hash256& hash) {
-  return RlpItem(ToBytes(crypto::HashView(hash)));
-}
-
-Result<crypto::Hash256> HashFromItem(const RlpItem& item) {
-  if (!item.is_bytes() || item.bytes().size() != 32) {
-    return Status::Corruption("checkpoint: bad hash field");
-  }
-  crypto::Hash256 hash;
-  std::copy(item.bytes().begin(), item.bytes().end(), hash.begin());
-  return hash;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -61,43 +47,41 @@ Result<crypto::Hash256> HashFromItem(const RlpItem& item) {
 // ---------------------------------------------------------------------------
 
 Bytes CheckpointManifest::Serialize() const {
-  std::vector<RlpItem> items;
-  items.push_back(RlpItem::U64(height));
-  items.push_back(HashItem(block_hash));
-  items.push_back(HashItem(state_root));
-  items.push_back(RlpItem::U64(total_entries));
-  items.push_back(RlpItem::U64(total_bytes));
-  items.push_back(HashItem(chunks_root));
+  RlpWriter w(160 + 32 * chunk_hashes.size());
+  size_t mark = w.BeginList();
+  w.WriteU64(height);
+  w.WriteBytes(block_hash);
+  w.WriteBytes(state_root);
+  w.WriteU64(total_entries);
+  w.WriteU64(total_bytes);
+  w.WriteBytes(chunks_root);
+  // Chunk hashes travel as one concatenated string (32 bytes each).
   Bytes hashes;
-  for (const crypto::Hash256& h : chunk_hashes) {
-    hashes.insert(hashes.end(), h.begin(), h.end());
-  }
-  items.push_back(RlpItem(std::move(hashes)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  hashes.reserve(32 * chunk_hashes.size());
+  for (const crypto::Hash256& h : chunk_hashes) Append(&hashes, h);
+  w.WriteBytes(hashes);
+  w.EndList(mark);
+  return std::move(w).Take();
 }
 
 Result<CheckpointManifest> CheckpointManifest::Deserialize(ByteView wire) {
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(wire));
-  if (!item.is_list() || item.list().size() != 7) {
-    return Status::Corruption("checkpoint: malformed manifest");
-  }
-  const auto& fields = item.list();
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(wire));
   CheckpointManifest manifest;
-  CONFIDE_ASSIGN_OR_RETURN(manifest.height, fields[0].AsU64());
-  CONFIDE_ASSIGN_OR_RETURN(manifest.block_hash, HashFromItem(fields[1]));
-  CONFIDE_ASSIGN_OR_RETURN(manifest.state_root, HashFromItem(fields[2]));
-  CONFIDE_ASSIGN_OR_RETURN(manifest.total_entries, fields[3].AsU64());
-  CONFIDE_ASSIGN_OR_RETURN(manifest.total_bytes, fields[4].AsU64());
-  CONFIDE_ASSIGN_OR_RETURN(manifest.chunks_root, HashFromItem(fields[5]));
-  if (!fields[6].is_bytes() || fields[6].bytes().size() % 32 != 0) {
+  CONFIDE_ASSIGN_OR_RETURN(manifest.height, r.NextU64());
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&manifest.block_hash, "checkpoint block hash"));
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&manifest.state_root, "checkpoint state root"));
+  CONFIDE_ASSIGN_OR_RETURN(manifest.total_entries, r.NextU64());
+  CONFIDE_ASSIGN_OR_RETURN(manifest.total_bytes, r.NextU64());
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&manifest.chunks_root, "checkpoint chunks root"));
+  CONFIDE_ASSIGN_OR_RETURN(ByteView hashes, r.NextBytes());
+  CONFIDE_RETURN_NOT_OK(r.ExpectEnd("checkpoint manifest"));
+  if (hashes.size() % 32 != 0) {
     return Status::Corruption("checkpoint: malformed chunk hash list");
   }
-  const Bytes& hashes = fields[6].bytes();
-  for (size_t off = 0; off < hashes.size(); off += 32) {
-    crypto::Hash256 h;
-    std::copy(hashes.begin() + ptrdiff_t(off),
-              hashes.begin() + ptrdiff_t(off + 32), h.begin());
-    manifest.chunk_hashes.push_back(h);
+  manifest.chunk_hashes.resize(hashes.size() / 32);
+  for (size_t i = 0; i < manifest.chunk_hashes.size(); ++i) {
+    std::copy_n(hashes.begin() + ptrdiff_t(32 * i), 32,
+                manifest.chunk_hashes[i].begin());
   }
   return manifest;
 }
@@ -111,36 +95,37 @@ crypto::Hash256 CheckpointManifest::Digest() const {
 // ---------------------------------------------------------------------------
 
 Bytes CheckpointCertificate::Serialize() const {
-  std::vector<RlpItem> items;
-  items.push_back(HashItem(manifest_digest));
-  std::vector<RlpItem> vote_items;
+  RlpWriter w(40 + 70 * votes.size());
+  size_t mark = w.BeginList();
+  w.WriteBytes(manifest_digest);
+  size_t vote_list = w.BeginList();
   for (const auto& [signer, sig] : votes) {
-    std::vector<RlpItem> vote;
-    vote.push_back(RlpItem::U64(signer));
-    vote.push_back(RlpItem(ToBytes(ByteView(sig.data(), sig.size()))));
-    vote_items.push_back(RlpItem::List(std::move(vote)));
+    size_t vote = w.BeginList();
+    w.WriteU64(signer);
+    w.WriteBytes(sig);
+    w.EndList(vote);
   }
-  items.push_back(RlpItem::List(std::move(vote_items)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  w.EndList(vote_list);
+  w.EndList(mark);
+  return std::move(w).Take();
 }
 
 Result<CheckpointCertificate> CheckpointCertificate::Deserialize(ByteView wire) {
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(wire));
-  if (!item.is_list() || item.list().size() != 2 || !item.list()[1].is_list()) {
-    return Status::Corruption("checkpoint: malformed certificate");
-  }
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(wire));
   CheckpointCertificate certificate;
-  CONFIDE_ASSIGN_OR_RETURN(certificate.manifest_digest,
-                           HashFromItem(item.list()[0]));
-  for (const RlpItem& vote : item.list()[1].list()) {
-    if (!vote.is_list() || vote.list().size() != 2 ||
-        !vote.list()[1].is_bytes() || vote.list()[1].bytes().size() != 64) {
-      return Status::Corruption("checkpoint: malformed vote");
+  CONFIDE_RETURN_NOT_OK(
+      r.NextInto(&certificate.manifest_digest, "checkpoint manifest digest"));
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader vote_list, r.NextList());
+  CONFIDE_RETURN_NOT_OK(r.ExpectEnd("checkpoint certificate"));
+  while (!vote_list.AtEnd()) {
+    CONFIDE_ASSIGN_OR_RETURN(RlpReader vote, vote_list.NextList());
+    CONFIDE_ASSIGN_OR_RETURN(uint64_t signer, vote.NextU64());
+    if (signer > UINT32_MAX) {
+      return Status::Corruption("checkpoint: vote signer out of range");
     }
-    CONFIDE_ASSIGN_OR_RETURN(uint64_t signer, vote.list()[0].AsU64());
     crypto::Signature sig;
-    std::copy(vote.list()[1].bytes().begin(), vote.list()[1].bytes().end(),
-              sig.begin());
+    CONFIDE_RETURN_NOT_OK(vote.NextInto(&sig, "checkpoint vote signature"));
+    CONFIDE_RETURN_NOT_OK(vote.ExpectEnd("checkpoint vote"));
     certificate.votes.emplace_back(uint32_t(signer), sig);
   }
   return certificate;
@@ -259,13 +244,11 @@ Status CheckpointManager::WitnessCheckpoint(uint64_t height,
     std::lock_guard<std::mutex> lock(mutex_);
     Result<Bytes> existing = kv_->Get(WitnessKey(height));
     if (existing.ok()) {
-      CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(*existing));
-      if (!item.is_list() || item.list().size() != 2) {
-        return Status::Corruption("checkpoint: malformed witness record");
-      }
+      CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(*existing));
       crypto::Hash256 seen_hash;
-      CONFIDE_ASSIGN_OR_RETURN(seen_hash, HashFromItem(item.list()[0]));
-      CONFIDE_ASSIGN_OR_RETURN(seen_root, HashFromItem(item.list()[1]));
+      CONFIDE_RETURN_NOT_OK(r.NextInto(&seen_hash, "witnessed block hash"));
+      CONFIDE_RETURN_NOT_OK(r.NextInto(&seen_root, "witnessed state root"));
+      CONFIDE_RETURN_NOT_OK(r.ExpectEnd("checkpoint witness record"));
       if (seen_hash == block_hash && seen_root == state_root) {
         return Status::OK();  // same checkpoint re-witnessed
       }
@@ -273,11 +256,12 @@ Status CheckpointManager::WitnessCheckpoint(uint64_t height,
       alarm = fork_alarm_;
       CheckpointMetrics::Get().forks_detected->Increment();
     } else if (existing.status().IsNotFound()) {
-      std::vector<RlpItem> record;
-      record.push_back(HashItem(block_hash));
-      record.push_back(HashItem(state_root));
-      CONFIDE_RETURN_NOT_OK(
-          kv_->Put(WitnessKey(height), RlpEncode(RlpItem::List(std::move(record)))));
+      RlpWriter record(70);
+      size_t mark = record.BeginList();
+      record.WriteBytes(block_hash);
+      record.WriteBytes(state_root);
+      record.EndList(mark);
+      CONFIDE_RETURN_NOT_OK(kv_->Put(WitnessKey(height), std::move(record).Take()));
       CheckpointMetrics::Get().witnessed->Increment();
     } else {
       return existing.status();
@@ -412,9 +396,11 @@ std::vector<uint64_t> CheckpointManager::RetainLocked(
     batch->Delete(CertificateKey(victim));
     cm.pruned->Increment();
   }
-  std::vector<RlpItem> index_items;
-  for (uint64_t h : retained) index_items.push_back(RlpItem::U64(h));
-  batch->Put(kIndexKey, RlpEncode(RlpItem::List(std::move(index_items))));
+  RlpWriter index(2 + 9 * retained.size());
+  size_t mark = index.BeginList();
+  for (uint64_t h : retained) index.WriteU64(h);
+  index.EndList(mark);
+  batch->Put(kIndexKey, std::move(index).Take());
   return retained;
 }
 
@@ -455,13 +441,10 @@ Status CheckpointManager::RecoverLatest() {
   auto index = kv_->Get(kIndexKey);
   if (index.status().IsNotFound()) return Status::OK();  // never checkpointed
   CONFIDE_RETURN_NOT_OK(index.status());
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(*index));
-  if (!item.is_list()) {
-    return Status::Corruption("checkpoint: malformed retention index");
-  }
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(*index));
   std::vector<uint64_t> retained;
-  for (const RlpItem& entry : item.list()) {
-    CONFIDE_ASSIGN_OR_RETURN(uint64_t h, entry.AsU64());
+  while (!r.AtEnd()) {
+    CONFIDE_ASSIGN_OR_RETURN(uint64_t h, r.NextU64());
     retained.push_back(h);
   }
   std::lock_guard<std::mutex> lock(mutex_);

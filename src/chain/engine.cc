@@ -1,12 +1,29 @@
 #include "chain/engine.h"
 
+#include "serialize/rlp.h"
+
 namespace confide::chain {
 
-Status ContractRegistry::Deploy(StateDb* state, const Address& contract,
-                                VmKind vm, Bytes code) {
-  state->Put(contract, AsByteView(kCodeKey), std::move(code));
-  state->Put(contract, AsByteView(kVmKey), Bytes{uint8_t(vm)});
-  return state->Commit();
+Bytes ContractRegistry::EncodeDeploy(VmKind vm, ByteView code) {
+  serialize::RlpWriter w(code.size() + 8);
+  size_t mark = w.BeginList();
+  w.WriteU64(uint64_t(vm));
+  w.WriteBytes(code);
+  w.EndList(mark);
+  return std::move(w).Take();
+}
+
+Result<ContractRegistry::DeployRef> ContractRegistry::DecodeDeploy(
+    ByteView payload) {
+  auto r = serialize::RlpReader::AtList(payload);
+  if (!r.ok()) return Status::InvalidArgument("bad deploy payload");
+  auto vm = r->NextU64();
+  auto code = r->NextBytes();
+  if (!vm.ok() || !code.ok() || !r->AtEnd()) {
+    return Status::InvalidArgument("bad deploy payload");
+  }
+  if (*vm > 1) return Status::InvalidArgument("bad vm kind");
+  return DeployRef{VmKind(*vm), *code};
 }
 
 Result<ContractRegistry::ContractInfo> ContractRegistry::Load(

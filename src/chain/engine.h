@@ -28,11 +28,21 @@ class ContractRegistry {
  public:
   static constexpr const char* kCodeKey = "__code__";
   static constexpr const char* kVmKey = "__vm__";
+  /// Entry point that deploys instead of calling: the tx input is a
+  /// deploy payload (EncodeDeploy).
+  static constexpr const char* kDeployEntry = "__deploy__";
 
-  /// \brief Writes contract code to state (plain form — the confidential
-  /// engine wraps this with D-Protocol encryption).
-  static Status Deploy(StateDb* state, const Address& contract, VmKind vm,
-                       Bytes code);
+  /// \brief The deploy payload, RLP [vm, code] — the one encoder every
+  /// client uses.
+  static Bytes EncodeDeploy(VmKind vm, ByteView code);
+
+  struct DeployRef {
+    VmKind vm;
+    ByteView code;  ///< aliases the decoded payload
+  };
+  /// \brief The one decoder both engines use. InvalidArgument "bad deploy
+  /// payload" for a malformed payload, "bad vm kind" for vm > 1.
+  static Result<DeployRef> DecodeDeploy(ByteView payload);
 
   struct ContractInfo {
     VmKind vm;

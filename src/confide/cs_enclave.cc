@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "chain/engine.h"
 #include "common/arena.h"
 #include "common/endian.h"
 #include "common/metrics.h"
@@ -661,14 +662,7 @@ Result<Bytes> CsEnclave::GetProvisionReport(tee::EnclaveContext* ctx) {
   provision_ecdh_ = crypto::GenerateKeyPair(&rng);
   tee::LocalReport report = ctx->CreateLocalReport(
       ByteView(provision_ecdh_->pub.data(), provision_ecdh_->pub.size()));
-  RlpWriter w(80 + report.user_data.size());
-  size_t list = w.BeginList();
-  w.WriteBytes(ByteView(report.mrenclave.data(), report.mrenclave.size()));
-  w.WriteU64(report.security_version);
-  w.WriteBytes(report.user_data);
-  w.WriteBytes(ByteView(report.mac.data(), report.mac.size()));
-  w.EndList(list);
-  return std::move(w).Take();
+  return SerializeLocalReport(report);
 }
 
 Result<Bytes> CsEnclave::InstallKeys(ByteView blob) {
@@ -854,7 +848,8 @@ Result<Bytes> CsEnclave::Execute(ByteView request, tee::EnclaveContext* ctx) {
   StateJournal journal(ctx, options_, token, k_states, svn);
   journal_ptr = &journal;
 
-  const bool is_deploy = raw->EntryString() == "__deploy__";
+  const bool is_deploy =
+      raw->EntryString() == chain::ContractRegistry::kDeployEntry;
   const bool prefetchable = !is_deploy && options_.enable_ocall_batching &&
                             options_.enable_state_cache;
   std::string profile_key = chain::AddressToString(contract);
@@ -884,20 +879,16 @@ Result<Bytes> CsEnclave::Execute(ByteView request, tee::EnclaveContext* ctx) {
 
   if (is_deploy) {
     // Confidential deployment: code lands sealed like any other state.
-    auto deploy = RlpReader::AtList(raw->input);
+    auto deploy = chain::ContractRegistry::DecodeDeploy(raw->input);
     if (!deploy.ok()) {
-      return fail(Status::InvalidArgument("cs: bad deploy payload"));
+      return fail(Status::InvalidArgument("cs: " + deploy.status().message()));
     }
-    auto vm_kind = deploy->NextU64();
-    auto code = deploy->NextBytes();
-    if (!vm_kind.ok() || !code.ok() || !deploy->AtEnd()) {
-      return fail(Status::InvalidArgument("cs: bad deploy payload"));
+    Status st = env.SetStorage(AsByteView(chain::ContractRegistry::kCodeKey),
+                               deploy->code);
+    if (st.ok()) {
+      st = env.SetStorage(AsByteView(chain::ContractRegistry::kVmKey),
+                          Bytes{uint8_t(deploy->vm)});
     }
-    if (*vm_kind > 1) {
-      return fail(Status::InvalidArgument("cs: bad vm kind"));
-    }
-    Status st = env.SetStorage(AsByteView("__code__"), code.value());
-    if (st.ok()) st = env.SetStorage(AsByteView("__vm__"), Bytes{uint8_t(*vm_kind)});
     if (!st.ok()) return fail(st);
     raw_receipt.success = true;
   } else {

@@ -177,34 +177,17 @@ Result<chain::Receipt> PublicEngine::Execute(const chain::Transaction& tx,
     return receipt;
   }
 
-  if (tx.entry == "__deploy__") {
-    auto deploy = RlpReader::AtList(tx.input);
-    uint64_t vm_kind = 0;
-    ByteView code;
-    bool deploy_ok = false;
-    if (deploy.ok()) {
-      auto vm_field = deploy->NextU64();
-      auto code_field = deploy->NextBytes();
-      if (vm_field.ok() && code_field.ok() && deploy->AtEnd()) {
-        vm_kind = vm_field.value();
-        code = code_field.value();
-        deploy_ok = true;
-      }
-    }
-    if (!deploy_ok) {
+  if (tx.entry == chain::ContractRegistry::kDeployEntry) {
+    auto deploy = chain::ContractRegistry::DecodeDeploy(tx.input);
+    if (!deploy.ok()) {
       receipt.success = false;
-      receipt.status_message = "bad deploy payload";
-      return receipt;
-    }
-    if (vm_kind > 1) {
-      receipt.success = false;
-      receipt.status_message = "bad vm kind";
+      receipt.status_message = deploy.status().message();
       return receipt;
     }
     state->Put(tx.contract, AsByteView(chain::ContractRegistry::kCodeKey),
-               ToBytes(code));
+               ToBytes(deploy->code));
     state->Put(tx.contract, AsByteView(chain::ContractRegistry::kVmKey),
-               Bytes{uint8_t(vm_kind)});
+               Bytes{uint8_t(deploy->vm)});
     written_keys.insert(LoadBe64(tx.contract.data()));
     fill_touch();
     receipt.success = true;

@@ -4,43 +4,44 @@
 
 namespace confide::core {
 
-using serialize::RlpDecode;
-using serialize::RlpEncode;
-using serialize::RlpItem;
+using serialize::RlpReader;
+using serialize::RlpWriter;
+
+namespace {
+
+/// RLP [counter, height, state_root(, mac)]: the MAC body is the header
+/// without its trailing MAC.
+Bytes EncodeHeader(uint64_t counter, uint64_t height,
+                   const crypto::Hash256& state_root, const crypto::Hash256* mac) {
+  RlpWriter w(90);
+  size_t mark = w.BeginList();
+  w.WriteU64(counter);
+  w.WriteU64(height);
+  w.WriteBytes(state_root);
+  if (mac != nullptr) w.WriteBytes(*mac);
+  w.EndList(mark);
+  return std::move(w).Take();
+}
+
+}  // namespace
 
 Bytes FreshnessMacBody(uint64_t counter, uint64_t height,
                        const crypto::Hash256& state_root) {
-  std::vector<RlpItem> items;
-  items.push_back(RlpItem::U64(counter));
-  items.push_back(RlpItem::U64(height));
-  items.push_back(RlpItem(crypto::HashToBytes(state_root)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  return EncodeHeader(counter, height, state_root, nullptr);
 }
 
 Bytes FreshnessHeader::Serialize() const {
-  std::vector<RlpItem> items;
-  items.push_back(RlpItem::U64(counter));
-  items.push_back(RlpItem::U64(height));
-  items.push_back(RlpItem(crypto::HashToBytes(state_root)));
-  items.push_back(RlpItem(crypto::HashToBytes(mac)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  return EncodeHeader(counter, height, state_root, &mac);
 }
 
 Result<FreshnessHeader> FreshnessHeader::Deserialize(ByteView wire) {
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(wire));
-  if (!item.is_list() || item.list().size() != 4) {
-    return Status::Corruption("freshness: malformed header");
-  }
-  const auto& f = item.list();
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(wire));
   FreshnessHeader header;
-  CONFIDE_ASSIGN_OR_RETURN(header.counter, f[0].AsU64());
-  CONFIDE_ASSIGN_OR_RETURN(header.height, f[1].AsU64());
-  if (!f[2].is_bytes() || f[2].bytes().size() != header.state_root.size() ||
-      !f[3].is_bytes() || f[3].bytes().size() != header.mac.size()) {
-    return Status::Corruption("freshness: malformed header digests");
-  }
-  std::copy(f[2].bytes().begin(), f[2].bytes().end(), header.state_root.begin());
-  std::copy(f[3].bytes().begin(), f[3].bytes().end(), header.mac.begin());
+  CONFIDE_ASSIGN_OR_RETURN(header.counter, r.NextU64());
+  CONFIDE_ASSIGN_OR_RETURN(header.height, r.NextU64());
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&header.state_root, "freshness state root"));
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&header.mac, "freshness mac"));
+  CONFIDE_RETURN_NOT_OK(r.ExpectEnd("freshness header"));
   return header;
 }
 

@@ -8,55 +8,59 @@
 
 namespace confide::core {
 
-namespace {
-
-using serialize::RlpDecode;
-using serialize::RlpEncode;
-using serialize::RlpItem;
-
-RlpItem FixedItem(ByteView b) { return RlpItem(ToBytes(b)); }
-
-Result<Bytes> GetFixed(const RlpItem& item, size_t n, const char* what) {
-  if (!item.is_bytes() || item.bytes().size() != n) {
-    return Status::Corruption(std::string("k-protocol: bad ") + what);
-  }
-  return item.bytes();
-}
-
-}  // namespace
+using serialize::RlpReader;
+using serialize::RlpWriter;
 
 Bytes SerializeQuote(const tee::Quote& quote) {
-  std::vector<RlpItem> items;
-  items.push_back(FixedItem(crypto::HashView(quote.mrenclave)));
-  items.push_back(RlpItem::U64(quote.security_version));
-  items.push_back(RlpItem::U64(quote.platform_id));
-  items.push_back(RlpItem(quote.user_data));
-  items.push_back(FixedItem(ByteView(quote.platform_key.data(), 64)));
-  items.push_back(FixedItem(ByteView(quote.platform_cert.data(), 64)));
-  items.push_back(FixedItem(ByteView(quote.signature.data(), 64)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  RlpWriter w(240 + quote.user_data.size());
+  size_t mark = w.BeginList();
+  w.WriteBytes(quote.mrenclave);
+  w.WriteU64(quote.security_version);
+  w.WriteU64(quote.platform_id);
+  w.WriteBytes(quote.user_data);
+  w.WriteBytes(quote.platform_key);
+  w.WriteBytes(quote.platform_cert);
+  w.WriteBytes(quote.signature);
+  w.EndList(mark);
+  return std::move(w).Take();
 }
 
 Result<tee::Quote> DeserializeQuote(ByteView wire) {
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(wire));
-  if (!item.is_list() || item.list().size() != 7) {
-    return Status::Corruption("k-protocol: bad quote");
-  }
-  const auto& f = item.list();
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(wire));
   tee::Quote quote;
-  CONFIDE_ASSIGN_OR_RETURN(Bytes mr, GetFixed(f[0], 32, "measurement"));
-  std::copy(mr.begin(), mr.end(), quote.mrenclave.begin());
-  CONFIDE_ASSIGN_OR_RETURN(quote.security_version, f[1].AsU64());
-  CONFIDE_ASSIGN_OR_RETURN(quote.platform_id, f[2].AsU64());
-  if (!f[3].is_bytes()) return Status::Corruption("k-protocol: bad user data");
-  quote.user_data = f[3].bytes();
-  CONFIDE_ASSIGN_OR_RETURN(Bytes pk, GetFixed(f[4], 64, "platform key"));
-  std::copy(pk.begin(), pk.end(), quote.platform_key.begin());
-  CONFIDE_ASSIGN_OR_RETURN(Bytes cert, GetFixed(f[5], 64, "platform cert"));
-  std::copy(cert.begin(), cert.end(), quote.platform_cert.begin());
-  CONFIDE_ASSIGN_OR_RETURN(Bytes sig, GetFixed(f[6], 64, "signature"));
-  std::copy(sig.begin(), sig.end(), quote.signature.begin());
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&quote.mrenclave, "quote measurement"));
+  CONFIDE_ASSIGN_OR_RETURN(quote.security_version, r.NextU64());
+  CONFIDE_ASSIGN_OR_RETURN(quote.platform_id, r.NextU64());
+  CONFIDE_ASSIGN_OR_RETURN(ByteView user_data, r.NextBytes());
+  quote.user_data = ToBytes(user_data);
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&quote.platform_key, "quote platform key"));
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&quote.platform_cert, "quote platform cert"));
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&quote.signature, "quote signature"));
+  CONFIDE_RETURN_NOT_OK(r.ExpectEnd("k-protocol quote"));
   return quote;
+}
+
+Bytes SerializeLocalReport(const tee::LocalReport& report) {
+  RlpWriter w(80 + report.user_data.size());
+  size_t mark = w.BeginList();
+  w.WriteBytes(report.mrenclave);
+  w.WriteU64(report.security_version);
+  w.WriteBytes(report.user_data);
+  w.WriteBytes(report.mac);
+  w.EndList(mark);
+  return std::move(w).Take();
+}
+
+Result<tee::LocalReport> DeserializeLocalReport(ByteView wire) {
+  CONFIDE_ASSIGN_OR_RETURN(RlpReader r, RlpReader::AtList(wire));
+  tee::LocalReport report;
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&report.mrenclave, "report measurement"));
+  CONFIDE_ASSIGN_OR_RETURN(report.security_version, r.NextU64());
+  CONFIDE_ASSIGN_OR_RETURN(ByteView user_data, r.NextBytes());
+  report.user_data = ToBytes(user_data);
+  CONFIDE_RETURN_NOT_OK(r.NextInto(&report.mac, "report mac"));
+  CONFIDE_RETURN_NOT_OK(r.ExpectEnd("local report"));
+  return report;
 }
 
 Result<Bytes> WrapConsortiumKeys(const ConsortiumKeys& keys,
@@ -75,24 +79,31 @@ Result<Bytes> WrapConsortiumKeys(const ConsortiumKeys& keys,
   crypto::Hash256 wrap_key;
   std::copy(wrap.begin(), wrap.end(), wrap_key.begin());
 
-  std::vector<RlpItem> payload_items;
-  payload_items.push_back(FixedItem(ByteView(keys.sk_tx.data(), 32)));
-  payload_items.push_back(FixedItem(ByteView(keys.pk_tx.data(), 64)));
-  payload_items.push_back(FixedItem(crypto::HashView(keys.k_states)));
-  Bytes payload = RlpEncode(RlpItem::List(std::move(payload_items)));
+  // RLP [sk_tx, pk_tx, k_states] is 2 + 33 + 66 + 33 = 134 bytes, reserved
+  // up front: a reallocation would leave an unzeroed copy of the secrets
+  // on the heap, so this one buffer is all SecureZero has to cover.
+  RlpWriter payload(134);
+  size_t mark = payload.BeginList();
+  payload.WriteBytes(keys.sk_tx);
+  payload.WriteBytes(keys.pk_tx);
+  payload.WriteBytes(keys.k_states);
+  payload.EndList(mark);
+  Bytes plain = std::move(payload).Take();
 
   CONFIDE_ASSIGN_OR_RETURN(crypto::AesGcm gcm,
                            crypto::AesGcm::Create(crypto::HashView(wrap_key)));
   Bytes iv = rng.Generate(crypto::kGcmIvSize);
-  CONFIDE_ASSIGN_OR_RETURN(Bytes sealed,
-                           gcm.Seal(iv, payload, AsByteView("provision")));
-  SecureZero(&payload);
+  Result<Bytes> sealed = gcm.Seal(iv, plain, AsByteView("provision"));
+  SecureZero(&plain);
+  CONFIDE_RETURN_NOT_OK(sealed.status());
 
-  std::vector<RlpItem> items;
-  items.push_back(FixedItem(ByteView(ephemeral.pub.data(), 64)));
-  items.push_back(RlpItem(std::move(iv)));
-  items.push_back(RlpItem(std::move(sealed)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  RlpWriter w(80 + iv.size() + sealed->size());
+  size_t blob = w.BeginList();
+  w.WriteBytes(ephemeral.pub);
+  w.WriteBytes(iv);
+  w.WriteBytes(*sealed);
+  w.EndList(blob);
+  return std::move(w).Take();
 }
 
 Result<ConsortiumKeys> UnwrapConsortiumKeys(const crypto::PrivateKey& recipient_priv,
@@ -100,14 +111,15 @@ Result<ConsortiumKeys> UnwrapConsortiumKeys(const crypto::PrivateKey& recipient_
   static metrics::Counter* unwraps =
       metrics::GetCounter("confide.km.provision.unwrap.count");
   unwraps->Increment();
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(blob));
-  if (!item.is_list() || item.list().size() != 3) {
+  auto r = RlpReader::AtList(blob);
+  if (!r.ok()) return Status::CryptoError("k-protocol: bad provision blob");
+  crypto::PublicKey ephemeral{};
+  CONFIDE_RETURN_NOT_OK(r->NextInto(&ephemeral, "provision ephemeral key"));
+  auto iv = r->NextBytes();
+  auto sealed = r->NextBytes();
+  if (!iv.ok() || !sealed.ok() || !r->AtEnd()) {
     return Status::CryptoError("k-protocol: bad provision blob");
   }
-  const auto& f = item.list();
-  CONFIDE_ASSIGN_OR_RETURN(Bytes eph, GetFixed(f[0], 64, "ephemeral key"));
-  crypto::PublicKey ephemeral{};
-  std::copy(eph.begin(), eph.end(), ephemeral.begin());
 
   CONFIDE_ASSIGN_OR_RETURN(crypto::Hash256 shared,
                            crypto::EcdhSharedSecret(recipient_priv, ephemeral));
@@ -118,25 +130,23 @@ Result<ConsortiumKeys> UnwrapConsortiumKeys(const crypto::PrivateKey& recipient_
 
   CONFIDE_ASSIGN_OR_RETURN(crypto::AesGcm gcm,
                            crypto::AesGcm::Create(crypto::HashView(wrap_key)));
-  if (!f[1].is_bytes() || !f[2].is_bytes()) {
-    return Status::CryptoError("k-protocol: bad provision blob");
-  }
   CONFIDE_ASSIGN_OR_RETURN(Bytes payload,
-                           gcm.Open(f[1].bytes(), f[2].bytes(), AsByteView("provision")));
+                           gcm.Open(*iv, *sealed, AsByteView("provision")));
 
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem payload_item, RlpDecode(payload));
-  if (!payload_item.is_list() || payload_item.list().size() != 3) {
-    return Status::CryptoError("k-protocol: bad provision payload");
-  }
-  const auto& p = payload_item.list();
+  // The reader's views alias `payload`, so the secrets land in `keys`
+  // without an intermediate copy; `payload` is zeroed on every path.
   ConsortiumKeys keys;
-  CONFIDE_ASSIGN_OR_RETURN(Bytes sk, GetFixed(p[0], 32, "sk_tx"));
-  std::copy(sk.begin(), sk.end(), keys.sk_tx.begin());
-  CONFIDE_ASSIGN_OR_RETURN(Bytes pk, GetFixed(p[1], 64, "pk_tx"));
-  std::copy(pk.begin(), pk.end(), keys.pk_tx.begin());
-  CONFIDE_ASSIGN_OR_RETURN(Bytes ks, GetFixed(p[2], 32, "k_states"));
-  std::copy(ks.begin(), ks.end(), keys.k_states.begin());
+  Status parsed = [&]() -> Status {
+    auto p = RlpReader::AtList(payload);
+    if (!p.ok()) return Status::CryptoError("k-protocol: bad provision payload");
+    CONFIDE_RETURN_NOT_OK(p->NextInto(&keys.sk_tx, "sk_tx"));
+    CONFIDE_RETURN_NOT_OK(p->NextInto(&keys.pk_tx, "pk_tx"));
+    CONFIDE_RETURN_NOT_OK(p->NextInto(&keys.k_states, "k_states"));
+    if (!p->AtEnd()) return Status::CryptoError("k-protocol: bad provision payload");
+    return Status::OK();
+  }();
   SecureZero(&payload);
+  CONFIDE_RETURN_NOT_OK(parsed);
   return keys;
 }
 
@@ -180,10 +190,13 @@ Result<Bytes> KmEnclave::GetPublicInfo(tee::EnclaveContext* ctx) {
   crypto::Hash256 fingerprint =
       crypto::Sha256::Digest(ByteView(keys_->pk_tx.data(), 64));
   tee::Quote quote = ctx->CreateQuote(crypto::HashView(fingerprint));
-  std::vector<RlpItem> items;
-  items.push_back(RlpItem(Bytes(keys_->pk_tx.begin(), keys_->pk_tx.end())));
-  items.push_back(RlpItem(SerializeQuote(quote)));
-  return RlpEncode(RlpItem::List(std::move(items)));
+  const Bytes quote_wire = SerializeQuote(quote);
+  RlpWriter w(70 + quote_wire.size());
+  size_t mark = w.BeginList();
+  w.WriteBytes(keys_->pk_tx);
+  w.WriteBytes(quote_wire);
+  w.EndList(mark);
+  return std::move(w).Take();
 }
 
 Result<Bytes> KmEnclave::CreateJoinRequest(tee::EnclaveContext* ctx) {
@@ -231,29 +244,16 @@ Result<Bytes> KmEnclave::AcceptProvision(ByteView blob, tee::EnclaveContext* ctx
 Result<Bytes> KmEnclave::ProvisionCs(ByteView cs_report, tee::EnclaveContext* ctx) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!keys_) return Status::Unavailable("km: keys not provisioned");
-  // Parse the CS enclave's local report: RLP{mrenclave, svn, user_data, mac}.
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, RlpDecode(cs_report));
-  if (!item.is_list() || item.list().size() != 4) {
-    return Status::Corruption("km: bad local report");
-  }
-  const auto& f = item.list();
-  tee::LocalReport report;
-  CONFIDE_ASSIGN_OR_RETURN(Bytes mr, GetFixed(f[0], 32, "cs measurement"));
-  std::copy(mr.begin(), mr.end(), report.mrenclave.begin());
-  CONFIDE_ASSIGN_OR_RETURN(report.security_version, f[1].AsU64());
-  if (!f[2].is_bytes()) return Status::Corruption("km: bad local report");
-  report.user_data = f[2].bytes();
-  CONFIDE_ASSIGN_OR_RETURN(Bytes mac, GetFixed(f[3], 32, "report mac"));
-  std::copy(mac.begin(), mac.end(), report.mac.begin());
-
-  if (!ctx->VerifyLocalReport(report)) {
+  auto report = DeserializeLocalReport(cs_report);
+  if (!report.ok()) return Status::Corruption("km: bad local report");
+  if (!ctx->VerifyLocalReport(*report)) {
     return Status::PermissionDenied("km: CS local report rejected");
   }
-  if (report.user_data.size() != 64) {
+  if (report->user_data.size() != 64) {
     return Status::PermissionDenied("km: CS channel key malformed");
   }
   crypto::PublicKey channel{};
-  std::copy(report.user_data.begin(), report.user_data.end(), channel.begin());
+  std::copy(report->user_data.begin(), report->user_data.end(), channel.begin());
   return WrapConsortiumKeys(*keys_, channel, seed_ + 0x9000);
 }
 

@@ -43,6 +43,11 @@ enum KmEcall : uint64_t {
 Bytes SerializeQuote(const tee::Quote& quote);
 Result<tee::Quote> DeserializeQuote(ByteView wire);
 
+/// \brief CS local report, RLP [mrenclave, svn, user_data, mac]: the CS
+/// enclave writes it, the KM enclave reads it (kKmProvisionCs).
+Bytes SerializeLocalReport(const tee::LocalReport& report);
+Result<tee::LocalReport> DeserializeLocalReport(ByteView wire);
+
 /// \brief The consortium secrets as provisioned.
 struct ConsortiumKeys {
   crypto::PrivateKey sk_tx{};

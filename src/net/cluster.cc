@@ -286,8 +286,7 @@ void ClusterNode::InstallProposalLocked(uint64_t view, uint64_t seq,
   (void)transport_->Broadcast(MsgType::kPrepare, ByteView(vote));
 }
 
-void ClusterNode::MaybeFetchGapLocked(std::unique_lock<std::mutex>& lock,
-                                      uint64_t seq, uint32_t peer) {
+void ClusterNode::MaybeFetchGapLocked(uint64_t seq, uint32_t peer) {
   const uint64_t tip = system_->node()->Height();
   // A pending entry at the tip only fills the gap if it carries the block —
   // votes alone (the pre-prepare itself was the lost frame) cannot apply,
@@ -295,17 +294,25 @@ void ClusterNode::MaybeFetchGapLocked(std::unique_lock<std::mutex>& lock,
   const auto tip_it = pending_.find(tip);
   const bool tip_block_missing =
       tip_it == pending_.end() || tip_it->second.block_wire.empty();
-  if (seq <= tip || !tip_block_missing || fetch_in_flight_) return;
-  fetch_in_flight_ = true;
+  if (seq <= tip || !tip_block_missing) return;
+  (void)FetchBlocksLocked(peer, tip, seq);
+}
+
+Status ClusterNode::FetchBlocksLocked(uint32_t peer, uint64_t from, uint64_t to) {
+  const uint64_t now = transport_->NowNs();
+  if (now < fetch_deadline_ns_) return Status::OK();  // one pull at a time
+  fetch_deadline_ns_ = now + options_.fetch_wait_ms * kNsPerMs;
   serialize::RlpWriter w;
   size_t mark = w.BeginList();
-  w.WriteU64(tip);
-  w.WriteU64(seq);
+  w.WriteU64(from);
+  w.WriteU64(to);
   w.EndList(mark);
   ClusterMetrics::Get().fetch->Increment();
-  lock.unlock();
-  (void)transport_->Send(peer, MsgType::kFetchBlocks, ByteView(std::move(w).Take()));
-  lock.lock();
+  Status sent =
+      transport_->Send(peer, MsgType::kFetchBlocks, ByteView(std::move(w).Take()));
+  // The request never left: release the latch so the next trigger retries.
+  if (!sent.ok()) fetch_deadline_ns_ = 0;
+  return sent;
 }
 
 void ClusterNode::OnPrePrepare(uint32_t from, ByteView body) {
@@ -321,7 +328,7 @@ void ClusterNode::OnPrePrepare(uint32_t from, ByteView body) {
     ClusterMetrics::Get().bad_frame->Increment();
     return;
   }
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (*view < view_.load(std::memory_order_relaxed)) {
     // A deposed leader still proposing in its old view. Ignore; its own
     // heartbeat/pre-prepare traffic from the current leader will heal it.
@@ -343,7 +350,7 @@ void ClusterNode::OnPrePrepare(uint32_t from, ByteView body) {
   }
   // Seq jumped past our tip: pull the gap from the proposer (frames for
   // the intermediate blocks were lost, or we just rejoined).
-  MaybeFetchGapLocked(lock, *seq, from);
+  MaybeFetchGapLocked(*seq, from);
 }
 
 void ClusterNode::OnVote(uint32_t from, MsgType type, ByteView body) {
@@ -501,7 +508,7 @@ void ClusterNode::OnBlocksReply(ByteView body) {
     // drops included) — the drop site's recovery signal.
     fault::NoteRecovered("fault.net.send.drop");
   }
-  fetch_in_flight_ = false;
+  fetch_deadline_ns_ = 0;
   ++fetch_generation_;
   TryApplyLocked();
 }
@@ -518,7 +525,7 @@ void ClusterNode::OnHeartbeat(uint32_t from, ByteView body) {
     ClusterMetrics::Get().bad_frame->Increment();
     return;
   }
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (*view < view_.load(std::memory_order_relaxed)) return;  // stale leader
   if (LeaderOf(*view) != from) {
     ClusterMetrics::Get().bad_frame->Increment();
@@ -529,7 +536,7 @@ void ClusterNode::OnHeartbeat(uint32_t from, ByteView body) {
   ClusterMetrics::Get().hb_recv->Increment();
   // The heartbeat carries the leader's height: an idle-cluster rejoin
   // heals here instead of waiting for the next proposal.
-  MaybeFetchGapLocked(lock, *height, from);
+  MaybeFetchGapLocked(*height, from);
 }
 
 void ClusterNode::StartViewChange(uint64_t target_view) {
@@ -701,17 +708,7 @@ void ClusterNode::MaybeCompleteElectionLocked(uint64_t target_view) {
                 "new leader behind cluster tip, fetching " +
                     std::to_string(base - system_->node()->Height()) +
                     " blocks from node " + std::to_string(best_peer));
-    serialize::RlpWriter fw;
-    size_t fmark = fw.BeginList();
-    fw.WriteU64(system_->node()->Height());
-    fw.WriteU64(base);
-    fw.EndList(fmark);
-    if (!fetch_in_flight_) {
-      fetch_in_flight_ = true;
-      ClusterMetrics::Get().fetch->Increment();
-      (void)transport_->Send(best_peer, MsgType::kFetchBlocks,
-                             ByteView(std::move(fw).Take()));
-    }
+    (void)FetchBlocksLocked(best_peer, system_->node()->Height(), base);
   }
 }
 
@@ -737,7 +734,7 @@ void ClusterNode::OnNewView(uint32_t from, ByteView body) {
     }
     certs.emplace_back(*seq, ToBytes(*wire));
   }
-  std::unique_lock<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (LeaderOf(*new_view) != from) {
     // Only the leader of new_view may announce it.
     ClusterMetrics::Get().bad_frame->Increment();
@@ -759,7 +756,7 @@ void ClusterNode::OnNewView(uint32_t from, ByteView body) {
   }
   if (min_cert_seq != UINT64_MAX) {
     // Re-proposals may start past our tip (we missed committed blocks).
-    MaybeFetchGapLocked(lock, min_cert_seq, from);
+    MaybeFetchGapLocked(min_cert_seq, from);
   }
 }
 
@@ -906,39 +903,20 @@ Result<size_t> ClusterNode::LeaderTick() {
 }
 
 Status ClusterNode::CatchUp(uint32_t peer) {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     const uint64_t before = system_->node()->Height();
-    uint64_t generation;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fetch_in_flight_ = true;
-      generation = fetch_generation_;
-    }
-    serialize::RlpWriter w;
-    size_t mark = w.BeginList();
-    w.WriteU64(before);
-    w.WriteU64(before + kFetchBatchBlocks);
-    w.EndList(mark);
-    ClusterMetrics::Get().fetch->Increment();
-    Status sent =
-        transport_->Send(peer, MsgType::kFetchBlocks, ByteView(std::move(w).Take()));
-    if (!sent.ok()) {
-      // The peer died before the request left: release the in-flight
-      // latch or every future gap-repair fetch stays suppressed.
-      std::lock_guard<std::mutex> lock(mu_);
-      fetch_in_flight_ = false;
-      return sent;
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      const bool got_reply = cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.fetch_wait_ms),
-          [&] { return fetch_generation_ != generation; });
-      if (!got_reply) {
-        fetch_in_flight_ = false;
-        return Status::Unavailable("cluster: catch-up fetch from peer " +
-                                   std::to_string(peer) + " timed out");
-      }
+    const uint64_t generation = fetch_generation_;
+    // A gap fetch already in flight is waited on like our own.
+    CONFIDE_RETURN_NOT_OK(
+        FetchBlocksLocked(peer, before, before + kFetchBatchBlocks));
+    const bool got_reply = cv_.wait_for(
+        lock, std::chrono::milliseconds(options_.fetch_wait_ms),
+        [&] { return fetch_generation_ != generation; });
+    if (!got_reply) {
+      fetch_deadline_ns_ = 0;
+      return Status::Unavailable("cluster: catch-up fetch from peer " +
+                                 std::to_string(peer) + " timed out");
     }
     if (system_->node()->Height() == before) return Status::OK();  // caught up
   }

@@ -61,7 +61,9 @@ struct ClusterOptions {
   uint64_t propose_wait_ms = 1000;
   /// Retransmit attempts before LeaderTick gives up.
   uint32_t propose_retries = 5;
-  /// CatchUp per-batch reply wait.
+  /// Reply wait for a kFetchBlocks pull: CatchUp's per-batch wait, and
+  /// how long a gap-repair pull suppresses the next one (a lost request
+  /// or reply is retried once it passes).
   uint64_t fetch_wait_ms = 5000;
   /// Leader heartbeat cadence. 0 disables the failure detector entirely
   /// (tests then drive elections explicitly via StartViewChange).
@@ -148,7 +150,7 @@ class ClusterNode {
   /// \brief Test hook: true while a gap-repair fetch is outstanding.
   bool fetch_in_flight_for_test() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return fetch_in_flight_;
+    return transport_->NowNs() < fetch_deadline_ns_;
   }
 
  private:
@@ -202,10 +204,14 @@ class ClusterNode {
   /// undecodable wire is reported as Corruption.
   Status ApplyWireLocked(uint64_t seq, ByteView wire);
   /// \brief Issues one gap-repair kFetchBlocks [Height(), seq) to `peer`
-  /// when seq is past the tip, the tip block is missing, and no fetch is
-  /// already outstanding. Unlocks `lock` around the send.
-  void MaybeFetchGapLocked(std::unique_lock<std::mutex>& lock, uint64_t seq,
-                           uint32_t peer);
+  /// when seq is past the tip and the tip block is missing.
+  void MaybeFetchGapLocked(uint64_t seq, uint32_t peer);
+  /// \brief The one kFetchBlocks sender: pulls [from, to) from `peer`
+  /// unless a pull is outstanding. A pull stays outstanding until its
+  /// reply lands or fetch_wait_ms passes on the transport clock, so a lost
+  /// request or reply delays repair instead of stopping it; a failed send
+  /// releases it at once and is returned.
+  Status FetchBlocksLocked(uint32_t peer, uint64_t from, uint64_t to);
   /// \brief Broadcasts this node's kViewChange for target_view and, when
   /// it leads target_view with quorum, completes the election.
   void StartViewChangeLocked(uint64_t target_view);
@@ -243,7 +249,7 @@ class ClusterNode {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<uint64_t, Pending> pending_;
-  bool fetch_in_flight_ = false;  ///< one gap-repair pull at a time
+  uint64_t fetch_deadline_ns_ = 0;  ///< transport clock; pull outstanding until then
   uint64_t fetch_generation_ = 0;  ///< bumped when a kBlocksReply lands
   size_t last_proposed_tx_count_ = 0;
 

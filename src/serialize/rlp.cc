@@ -21,23 +21,6 @@ void EncodeLength(Bytes* out, size_t len, uint8_t offset) {
   for (int i = n - 1; i >= 0; --i) out->push_back(buf[i]);
 }
 
-void EncodeTo(const RlpItem& item, Bytes* out) {
-  if (item.is_bytes()) {
-    const Bytes& b = item.bytes();
-    if (b.size() == 1 && b[0] < 0x80) {
-      out->push_back(b[0]);
-      return;
-    }
-    EncodeLength(out, b.size(), 0x80);
-    Append(out, b);
-    return;
-  }
-  Bytes payload;
-  for (const RlpItem& child : item.list()) EncodeTo(child, &payload);
-  EncodeLength(out, payload.size(), 0xc0);
-  Append(out, payload);
-}
-
 /// Parsed item header. On success the payload occupies
 /// [*pos, *pos + payload_len) and is guaranteed to lie inside `data`.
 struct ItemHeader {
@@ -99,42 +82,7 @@ Result<ItemHeader> ParseItemHeader(ByteView data, size_t* pos) {
   return ItemHeader{true, len};
 }
 
-struct Decoder {
-  ByteView data;
-  size_t pos = 0;
-
-  Result<RlpItem> DecodeItem() {
-    CONFIDE_ASSIGN_OR_RETURN(ItemHeader header, ParseItemHeader(data, &pos));
-    if (!header.is_list) {
-      Bytes b(data.begin() + pos, data.begin() + pos + header.payload_len);
-      pos += header.payload_len;
-      return RlpItem(std::move(b));
-    }
-    size_t end = pos + header.payload_len;  // in bounds per ParseItemHeader
-    std::vector<RlpItem> items;
-    while (pos < end) {
-      CONFIDE_ASSIGN_OR_RETURN(RlpItem child, DecodeItem());
-      if (pos > end) return Status::Corruption("rlp: list item overruns list");
-      items.push_back(std::move(child));
-    }
-    return RlpItem(std::move(items));
-  }
-};
-
 }  // namespace
-
-RlpItem RlpItem::U64(uint64_t v) {
-  Bytes b;
-  // Minimal big-endian encoding; zero is the empty string.
-  uint8_t buf[8];
-  int n = 0;
-  while (v > 0) {
-    buf[n++] = uint8_t(v & 0xff);
-    v >>= 8;
-  }
-  for (int i = n - 1; i >= 0; --i) b.push_back(buf[i]);
-  return RlpItem(std::move(b));
-}
 
 Result<uint64_t> RlpU64Payload(ByteView payload) {
   if (payload.size() > 8) return Status::OutOfRange("rlp: integer exceeds 64 bits");
@@ -144,26 +92,6 @@ Result<uint64_t> RlpU64Payload(ByteView payload) {
   uint64_t v = 0;
   for (uint8_t byte : payload) v = (v << 8) | byte;
   return v;
-}
-
-Result<uint64_t> RlpItem::AsU64() const {
-  if (!is_bytes()) return Status::InvalidArgument("rlp: list is not an integer");
-  return RlpU64Payload(bytes());
-}
-
-Bytes RlpEncode(const RlpItem& item) {
-  Bytes out;
-  EncodeTo(item, &out);
-  return out;
-}
-
-Result<RlpItem> RlpDecode(ByteView data) {
-  Decoder dec{data};
-  CONFIDE_ASSIGN_OR_RETURN(RlpItem item, dec.DecodeItem());
-  if (dec.pos != data.size()) {
-    return Status::Corruption("rlp: trailing bytes after item");
-  }
-  return item;
 }
 
 Result<RlpReader> RlpReader::AtList(ByteView wire) {

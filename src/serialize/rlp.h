@@ -2,56 +2,23 @@
 /// \brief Recursive Length Prefix encoding (the Ethereum wire/storage
 /// format the paper cites for enclave-boundary serialization, §5.3).
 ///
-/// Two decode paths share one overflow-safe header parser:
-///  - RlpDecode materializes an owning RlpItem tree (convenient, allocates
-///    a Bytes per field) — kept for cold paths and as the bench baseline.
-///  - RlpReader walks the wire in place and returns ByteView slices into
-///    the input (zero-copy) — the hot path for tx/receipt/envelope decode.
-/// RlpWriter streams the encode side without building an item tree.
+/// One codec: RlpWriter streams every encode into one growing buffer, and
+/// RlpReader walks every decode in place, returning ByteView slices into
+/// the input (zero-copy) through one overflow-safe header parser. Each
+/// wire format has one owner — a Serialize/Deserialize pair next to its
+/// struct — built on these two, so a record decodes with the same
+/// canonical-form checks wherever it is read.
 
 #pragma once
 
-#include <memory>
+#include <algorithm>
+#include <array>
 #include <string_view>
-#include <variant>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 
 namespace confide::serialize {
-
-/// \brief An RLP item: either a byte string or a list of items.
-class RlpItem {
- public:
-  RlpItem() : value_(Bytes{}) {}
-  explicit RlpItem(Bytes bytes) : value_(std::move(bytes)) {}
-  explicit RlpItem(std::vector<RlpItem> list) : value_(std::move(list)) {}
-
-  static RlpItem String(std::string_view s) { return RlpItem(ToBytes(s)); }
-  static RlpItem U64(uint64_t v);
-  static RlpItem List(std::vector<RlpItem> items) { return RlpItem(std::move(items)); }
-
-  bool is_bytes() const { return std::holds_alternative<Bytes>(value_); }
-  bool is_list() const { return !is_bytes(); }
-
-  const Bytes& bytes() const { return std::get<Bytes>(value_); }
-  const std::vector<RlpItem>& list() const { return std::get<std::vector<RlpItem>>(value_); }
-
-  /// \brief Decodes a big-endian minimal integer payload.
-  Result<uint64_t> AsU64() const;
-
-  bool operator==(const RlpItem& other) const { return value_ == other.value_; }
-
- private:
-  std::variant<Bytes, std::vector<RlpItem>> value_;
-};
-
-/// \brief Serializes an item to canonical RLP bytes.
-Bytes RlpEncode(const RlpItem& item);
-
-/// \brief Parses exactly one item consuming the full input.
-Result<RlpItem> RlpDecode(ByteView data);
 
 /// \brief Decodes a minimal big-endian integer payload (the content of an
 /// RLP byte-string item) into a u64. Rejects >8 bytes and leading zeros.
@@ -88,6 +55,14 @@ class RlpReader {
 
   /// \brief Next item; must be a byte string of exactly `n` bytes.
   Result<ByteView> NextFixed(size_t n, const char* what);
+
+  /// \brief NextFixed(N) copied into `out` (hashes, keys, signatures).
+  template <size_t N>
+  Status NextInto(std::array<uint8_t, N>* out, const char* what) {
+    CONFIDE_ASSIGN_OR_RETURN(ByteView b, NextFixed(N, what));
+    std::copy(b.begin(), b.end(), out->begin());
+    return Status::OK();
+  }
 
   /// \brief Next item; must be a minimal big-endian integer <= 64 bits.
   Result<uint64_t> NextU64();

@@ -65,10 +65,7 @@ fn increment() {
 )";
 
 Bytes DeployPayload(const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(chain::VmKind::kCvm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
+  return chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, code);
 }
 
 Bytes CounterCode() {
@@ -251,6 +248,50 @@ TEST_F(SimClusterTest, PartitionedReplicaRepairsGapViaFetch) {
                   ->node()
                   ->SubmitTransaction(client->MakePublicTx(addr, "increment", Bytes{}))
                   .ok());
+  CommitRound();
+  hub.DeliverAll();
+  ExpectConverged();
+}
+
+TEST_F(SimClusterTest, LostFetchReplyIsRetriedAfterFetchWait) {
+  // Regression: a gap-repair pull whose reply is lost must not switch
+  // repair off for good. Once fetch_wait_ms passes on the transport clock
+  // the next trigger pulls again, and the replica converges.
+  const Bytes code = CounterCode();
+  chain::Address addr = NamedAddress("sim.lost-fetch");
+  auto submit = [&](const std::string& entry, Bytes input) {
+    ASSERT_TRUE(systems[0]
+                    ->node()
+                    ->SubmitTransaction(client->MakePublicTx(addr, entry, input))
+                    .ok());
+  };
+  submit(chain::ContractRegistry::kDeployEntry, DeployPayload(code));
+  CommitRound();
+  ExpectConverged();
+
+  ASSERT_TRUE(sim.SetPartition(2, 1).ok());
+  for (int round = 0; round < 2; ++round) {
+    submit("increment", Bytes{});
+    CommitRound();
+  }
+  sim.HealPartitions();
+
+  // Deliver until node 2 asks for the gap, then cut it off again: the
+  // request reaches the leader, the reply is lost on the way back.
+  submit("increment", Bytes{});
+  ASSERT_TRUE(nodes[0]->ProposeOnce().ok());
+  while (!nodes[2]->fetch_in_flight_for_test() && hub.DeliverOne()) {
+  }
+  ASSERT_TRUE(nodes[2]->fetch_in_flight_for_test());
+  ASSERT_TRUE(sim.SetPartition(2, 1).ok());
+  hub.DeliverAll();
+  sim.HealPartitions();
+  EXPECT_LT(nodes[2]->Height(), nodes[0]->Height());
+
+  const uint64_t fetch_wait_ns = ClusterOptions{}.fetch_wait_ms * 1'000'000;
+  hub.RunUntil(hub.now_ns() + fetch_wait_ns + 1'000'000);
+  EXPECT_FALSE(nodes[2]->fetch_in_flight_for_test());
+  submit("increment", Bytes{});
   CommitRound();
   hub.DeliverAll();
   ExpectConverged();
@@ -782,8 +823,8 @@ TEST_F(TcpClusterTest, LateReplicaCatchesUpFromLivePeer) {
 
 TEST_F(TcpClusterTest, CatchUpFailureReleasesFetchLatch) {
   // Regression: a CatchUp whose peer dies before the request leaves must
-  // not leave fetch_in_flight_ latched — every later gap-repair pull
-  // would be suppressed and the node could never heal.
+  // release the fetch latch at once, or gap-repair pulls stay suppressed
+  // for fetch_wait_ms.
   peers_ = {"127.0.0.1:" + std::to_string(PickPort()),
             "127.0.0.1:" + std::to_string(PickPort())};
   systems_.resize(2);

@@ -34,13 +34,6 @@ fn increment() {
 }
 )";
 
-Bytes DeployPayload(chain::VmKind vm, const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(vm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
-}
-
 // ---------------------------------------------------------------------------
 // Protocols
 // ---------------------------------------------------------------------------
@@ -313,7 +306,8 @@ class ConfideE2eTest : public ::testing::Test {
   chain::Address DeployCounter() {
     chain::Address addr = NamedAddress("counter");
     auto submission = client_->MakeConfidentialTx(
-        addr, "__deploy__", DeployPayload(chain::VmKind::kCvm, counter_code_));
+        addr, "__deploy__",
+        chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, counter_code_));
     EXPECT_TRUE(submission.ok());
     EXPECT_TRUE(sys_->node()->SubmitTransaction(submission->tx).ok());
     auto receipts = sys_->RunToCompletion();
@@ -425,7 +419,8 @@ TEST_F(ConfideE2eTest, PublicAndConfidentialCoexist) {
   // Deploy the same contract publicly under another address.
   chain::Address pub_addr = NamedAddress("counter-public");
   Transaction pub_deploy = client_->MakePublicTx(
-      pub_addr, "__deploy__", DeployPayload(chain::VmKind::kCvm, counter_code_));
+      pub_addr, "__deploy__",
+      chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, counter_code_));
   ASSERT_TRUE(sys_->node()->SubmitTransaction(pub_deploy).ok());
 
   Transaction pub_call = client_->MakePublicTx(pub_addr, "increment", Bytes{});
@@ -484,7 +479,8 @@ TEST_F(ConfideE2eTest, JoinedNodeExecutesIdentically) {
   Client client(42, (*first)->pk_tx());
   chain::Address addr = NamedAddress("ctr");
   auto deploy = client.MakeConfidentialTx(
-      addr, "__deploy__", DeployPayload(chain::VmKind::kCvm, counter_code_));
+      addr, "__deploy__",
+      chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, counter_code_));
   ASSERT_TRUE(deploy.ok());
   auto call = client.MakeConfidentialTx(addr, "increment", Bytes{});
   ASSERT_TRUE(call.ok());
@@ -653,7 +649,8 @@ void DeployNamed(ConfideSystem* sys, Client* client, const std::string& name,
   auto code = lang::Compile(source, lang::VmTarget::kCvm);
   ASSERT_TRUE(code.ok()) << code.status().ToString();
   auto submission = client->MakeConfidentialTx(
-      NamedAddress(name), "__deploy__", DeployPayload(chain::VmKind::kCvm, *code));
+      NamedAddress(name), "__deploy__",
+      chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, *code));
   ASSERT_TRUE(submission.ok());
   ASSERT_TRUE(sys->node()->SubmitTransaction(submission->tx).ok());
   auto receipts = sys->RunToCompletion();

@@ -402,10 +402,7 @@ fn increment() {
 )";
 
 Bytes DeployPayload(const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(chain::VmKind::kCvm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
+  return chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, code);
 }
 
 class EnclaveRecoveryTest : public ::testing::Test {
@@ -1379,13 +1376,14 @@ TEST_F(StateContinuityChaosTest, InterruptedSealWithoutTipAdvanceIsRefused) {
   ASSERT_EQ(Increment(sys.get(), &client, addr), "1");
 
   // Simulate the torn seal: run the seal ecall but drop its header.
-  std::vector<serialize::RlpItem> req;
-  req.push_back(serialize::RlpItem::U64(sys->node()->Height()));
-  req.push_back(serialize::RlpItem(
-      crypto::HashToBytes(sys->node()->state()->StateRoot())));
+  serialize::RlpWriter req;
+  size_t mark = req.BeginList();
+  req.WriteU64(sys->node()->Height());
+  req.WriteBytes(sys->node()->state()->StateRoot());
+  req.EndList(mark);
   auto dropped = sys->platform()->Ecall(
       sys->confidential_engine()->enclave_id(), core::kCsSealFreshness,
-      serialize::RlpEncode(serialize::RlpItem::List(std::move(req))));
+      req.buffer());
   ASSERT_TRUE(dropped.ok());
 
   Status stale = sys->VerifyStateContinuity();
@@ -1676,10 +1674,7 @@ fn increment() {
 )";
 
 Bytes NetDeployPayload(const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(chain::VmKind::kCvm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
+  return chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, code);
 }
 
 SystemOptions NetChaosOptions() {

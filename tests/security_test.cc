@@ -35,10 +35,7 @@ fn bump() {
 )";
 
 Bytes DeployPayload(const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(0));  // kCvm
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
+  return chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, code);
 }
 
 class MaliciousHostTest : public ::testing::Test {

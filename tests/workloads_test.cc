@@ -12,13 +12,6 @@ namespace {
 
 using chain::NamedAddress;
 
-Bytes DeployPayload(chain::VmKind vm, const Bytes& code) {
-  std::vector<serialize::RlpItem> items;
-  items.push_back(serialize::RlpItem::U64(uint64_t(vm)));
-  items.push_back(serialize::RlpItem(code));
-  return serialize::RlpEncode(serialize::RlpItem::List(std::move(items)));
-}
-
 class WorkloadsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -36,7 +29,8 @@ class WorkloadsTest : public ::testing::Test {
     auto code = lang::Compile(source, lang::VmTarget::kCvm);
     ASSERT_TRUE(code.ok()) << name << ": " << code.status().ToString();
     auto tx = client_->MakeConfidentialTx(
-        NamedAddress(name), "__deploy__", DeployPayload(chain::VmKind::kCvm, *code));
+        NamedAddress(name), "__deploy__",
+        chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm, *code));
     ASSERT_TRUE(tx.ok());
     ASSERT_TRUE(sys_->node()->SubmitTransaction(tx->tx).ok());
     auto receipts = sys_->RunToCompletion();
