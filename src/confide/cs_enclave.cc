@@ -137,7 +137,7 @@ class StateJournal {
     }
     if (found.value() == 0) {
       if (options_.enable_state_cache) {
-        entries_[jk] = Entry{contract, ToBytes(key), std::nullopt, false};
+        entries_[jk] = Entry{contract, ToBytes(key), std::nullopt, false, std::nullopt};
       }
       return Status::NotFound("sdm: no such state");
     }
@@ -145,7 +145,7 @@ class StateJournal {
     CONFIDE_ASSIGN_OR_RETURN(Bytes plain,
                              OpenState(k_states_, sealed.value(), aad));
     if (options_.enable_state_cache) {
-      entries_[jk] = Entry{contract, ToBytes(key), plain, false};
+      entries_[jk] = Entry{contract, ToBytes(key), plain, false, std::nullopt};
     }
     return plain;
   }
@@ -159,7 +159,7 @@ class StateJournal {
     if (options_.enable_ocall_batching) {
       // Write-back: buffer in-enclave, flush once at execution end.
       entries_[JournalKey(contract, key)] =
-          Entry{contract, ToBytes(key), ToBytes(value), true};
+          Entry{contract, ToBytes(key), ToBytes(value), true, std::nullopt};
       return Status::OK();
     }
     // Write-through (pre-OPT5 ladder rungs): one ocall per SetStorage.
@@ -177,7 +177,7 @@ class StateJournal {
             .status());
     if (options_.enable_state_cache) {
       entries_[JournalKey(contract, key)] =
-          Entry{contract, ToBytes(key), ToBytes(value), false};
+          Entry{contract, ToBytes(key), ToBytes(value), false, std::nullopt};
     }
     return Status::OK();
   }

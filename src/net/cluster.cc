@@ -125,12 +125,14 @@ Status ClusterNode::Start() {
     last_leader_seen_ns_ = transport_->NowNs();
     last_heartbeat_sent_ns_ = last_leader_seen_ns_;
   }
-  if (options_.heartbeat_ms > 0) {
-    // The failure detector ticks at half the heartbeat cadence (5-50 ms)
-    // on the transport's clock: wall time under TCP, virtual under SimHub.
-    const uint64_t tick_ms = std::clamp<uint64_t>(options_.heartbeat_ms / 2, 5, 50);
-    transport_->SetTimer(tick_ms * kNsPerMs, [this] { MonitorTick(); });
-  }
+  // The failure detector ticks at half the heartbeat cadence (5-50 ms)
+  // on the transport's clock: wall time under TCP, virtual under SimHub.
+  // The propose beat shares the timer, so it may run faster than asked.
+  uint64_t tick_ms = options_.heartbeat_ms > 0
+                         ? std::clamp<uint64_t>(options_.heartbeat_ms / 2, 5, 50)
+                         : options_.propose_tick_ms;
+  if (options_.propose_tick_ms > 0) tick_ms = std::min(tick_ms, options_.propose_tick_ms);
+  if (tick_ms > 0) transport_->SetTimer(tick_ms * kNsPerMs, [this] { MonitorTick(); });
   return transport_->Start();
 }
 
@@ -181,6 +183,8 @@ std::optional<OwnedFrame> ClusterNode::HandleFrame(uint32_t from, MsgType type,
       ClusterMetrics::Get().bad_frame->Increment();
       break;
   }
+  // This frame applied the leader's previous block: propose the next here.
+  if (propose_after_apply_) ProposeWhileIdle();
   return std::nullopt;
 }
 
@@ -282,20 +286,18 @@ void ClusterNode::InstallProposalLocked(uint64_t view, uint64_t seq,
   // kPrepare below is our vote, counted locally too.
   p.prepares[proposer] = p.digest;
   p.prepares[transport_->self_id()] = p.digest;
+  p.sent_ns = transport_->NowNs();
   const Bytes vote = EncodeVote(view, seq, p.digest);
   (void)transport_->Broadcast(MsgType::kPrepare, ByteView(vote));
 }
 
 void ClusterNode::MaybeFetchGapLocked(uint64_t seq, uint32_t peer) {
+  // The leader proposes seq + 1 only after seq applied, so a leader frame
+  // past our tip means the tip committed without us: whatever our tip
+  // entry holds (votes only, or a block short of its commit votes), the
+  // lost frames will not come back on their own.
   const uint64_t tip = system_->node()->Height();
-  // A pending entry at the tip only fills the gap if it carries the block —
-  // votes alone (the pre-prepare itself was the lost frame) cannot apply,
-  // so they must not suppress the fetch.
-  const auto tip_it = pending_.find(tip);
-  const bool tip_block_missing =
-      tip_it == pending_.end() || tip_it->second.block_wire.empty();
-  if (seq <= tip || !tip_block_missing) return;
-  (void)FetchBlocksLocked(peer, tip, seq);
+  if (seq > tip) (void)FetchBlocksLocked(peer, tip, seq);
 }
 
 Status ClusterNode::FetchBlocksLocked(uint32_t peer, uint64_t from, uint64_t to) {
@@ -433,7 +435,6 @@ void ClusterNode::TryApplyLocked() {
   while (!pending_.empty() && pending_.begin()->first < node->Height()) {
     pending_.erase(pending_.begin());
   }
-  cv_.notify_all();
 }
 
 Status ClusterNode::ApplyWireLocked(uint64_t seq, ByteView wire) {
@@ -449,6 +450,7 @@ Status ClusterNode::ApplyWireLocked(uint64_t seq, ByteView wire) {
     return status;
   }
   ClusterMetrics::Get().applied->Increment();
+  if (options_.propose_tick_ms > 0) propose_after_apply_ = true;
   return Status::OK();
 }
 
@@ -510,6 +512,7 @@ void ClusterNode::OnBlocksReply(ByteView body) {
   }
   fetch_deadline_ns_ = 0;
   ++fetch_generation_;
+  cv_.notify_all();  // CatchUp waits for the reply
   TryApplyLocked();
 }
 
@@ -702,8 +705,8 @@ void ClusterNode::MaybeCompleteElectionLocked(uint64_t target_view) {
   if (system_->node()->Height() < base) {
     // We won the election while behind the cluster tip: pull the missing
     // prefix from the most advanced peer before proposing anything new.
-    // (LeaderTick proposals at a stale seq are ignored by advanced
-    // replicas, so this heals before progress resumes.)
+    // (Proposals at a stale seq are ignored by advanced replicas, so this
+    // heals before progress resumes.)
     CONFIDE_LOG(kInfo, "cluster",
                 "new leader behind cluster tip, fetching " +
                     std::to_string(base - system_->node()->Height()) +
@@ -761,7 +764,8 @@ void ClusterNode::OnNewView(uint32_t from, ByteView body) {
 }
 
 void ClusterNode::AdoptViewLocked(uint64_t v) {
-  if (v <= view_.load(std::memory_order_relaxed)) return;
+  const uint64_t old_view = view_.load(std::memory_order_relaxed);
+  if (v <= old_view) return;
   view_.store(v, std::memory_order_release);
   if (view_target_ < v) view_target_ = v;
   failed_elections_ = 0;
@@ -785,10 +789,20 @@ void ClusterNode::AdoptViewLocked(uint64_t v) {
     fault_leader_silent_ = false;
     fault::NoteRecovered("fault.net.leader_crash");
   }
-  cv_.notify_all();
+  if (LeaderOf(old_view) == self_id() && LeaderOf(v) != self_id()) {
+    // Deposed: drop what we proposed in the old view (the next leader
+    // re-proposes whatever prepared).
+    std::vector<uint64_t> own;
+    for (const auto& [seq, p] : pending_) {
+      if (p.view == old_view && !p.block_wire.empty()) own.push_back(seq);
+    }
+    for (uint64_t seq : own) AbandonProposalLocked(seq);
+  }
 }
 
 Result<uint64_t> ClusterNode::ProposeOnce() {
+  // Two packs at one height would equivocate.
+  std::lock_guard<std::recursive_mutex> turn(propose_mu_);
   if (!is_leader()) {
     return Status::Unavailable("cluster: node " + std::to_string(self_id()) +
                                " is not the leader of view " +
@@ -810,7 +824,6 @@ Result<uint64_t> ClusterNode::ProposeOnce() {
   const uint64_t seq = block.header.height;
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t v = view_.load(std::memory_order_relaxed);
-  last_proposed_tx_count_ = block.transactions.size();
   Pending& p = pending_[seq];
   const crypto::Hash256 digest = crypto::Sha256::Digest(ByteView(wire));
   if (!p.block_wire.empty() && p.digest != digest) {
@@ -822,6 +835,7 @@ Result<uint64_t> ClusterNode::ProposeOnce() {
   p.block_wire = wire;
   p.digest = digest;
   p.prepares[transport_->self_id()] = digest;
+  p.sent_ns = transport_->NowNs();
   ClusterMetrics::Get().propose->Increment();
   (void)transport_->Broadcast(MsgType::kPrePrepare,
                               ByteView(EncodePrePrepare(v, seq, wire)));
@@ -829,10 +843,41 @@ Result<uint64_t> ClusterNode::ProposeOnce() {
   return seq;
 }
 
+void ClusterNode::ProposeWhileIdle() {
+  chain::Node* node = system_->node();
+  do {
+    std::unique_lock<std::recursive_mutex> turn(propose_mu_, std::try_to_lock);
+    if (!turn.owns_lock()) return;  // the holder re-checks the flag below
+    propose_after_apply_ = false;
+    if (node->VerifiedPoolSize() + node->UnverifiedPoolSize() == 0) continue;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      const uint64_t v = view_.load(std::memory_order_relaxed);
+      const uint64_t tip = node->Height();
+      // In a view this node leads, every pending block is its own.
+      const bool in_flight =
+          std::any_of(pending_.begin(), pending_.end(), [&](const auto& entry) {
+            return entry.first >= tip && entry.second.view == v &&
+                   !entry.second.block_wire.empty();
+          });
+      if (LeaderOf(v) != self_id() || fault_leader_silent_ || in_flight) continue;
+    }
+    auto seq = ProposeOnce();
+    if (!seq.ok() && seq.status().code() != StatusCode::kNotFound) {
+      CONFIDE_LOG(kWarn, "cluster", "propose: " + seq.status().ToString());
+    }
+  } while (propose_after_apply_);
+}
+
 Status ClusterNode::Retransmit(uint64_t seq) {
   std::lock_guard<std::mutex> lock(mu_);
+  return RetransmitLocked(seq);
+}
+
+Status ClusterNode::RetransmitLocked(uint64_t seq) {
   auto it = pending_.find(seq);
   if (it == pending_.end()) return Status::NotFound("cluster: seq not pending");
+  it->second.sent_ns = transport_->NowNs();
   ClusterMetrics::Get().retransmit->Increment();
   (void)transport_->Broadcast(
       MsgType::kPrePrepare,
@@ -840,17 +885,24 @@ Status ClusterNode::Retransmit(uint64_t seq) {
   return Status::OK();
 }
 
-Status ClusterNode::WaitApplied(uint64_t seq, uint64_t timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const bool applied = cv_.wait_for(
-      lock, std::chrono::milliseconds(timeout_ms),
-      [&] { return system_->node()->Height() > seq; });
-  if (!applied) {
-    return Status::Unavailable("cluster: seq " + std::to_string(seq) +
-                               " not applied within " +
-                               std::to_string(timeout_ms) + "ms");
+void ClusterNode::RepairOwnProposalsLocked(uint64_t now) {
+  const uint64_t v = view_.load(std::memory_order_relaxed);
+  bool stalled = false;
+  for (const auto& [seq, p] : pending_) {
+    if (p.view != v || p.block_wire.empty() ||
+        now < p.sent_ns + options_.view_timeout_ms * kNsPerMs) {
+      continue;
+    }
+    (void)RetransmitLocked(seq);
+    stalled = true;
   }
-  return Status::OK();
+  const uint32_t n = uint32_t(transport_->cluster_size());
+  if (!stalled || n < 2) return;
+  // Replicas may have applied on commit votes this node never received.
+  // Ask a different one each beat, so one dead peer cannot stall this.
+  const uint32_t peer = uint32_t((self_id() + 1 + pull_beats_++ % (n - 1)) % n);
+  const uint64_t tip = system_->node()->Height();
+  (void)FetchBlocksLocked(peer, tip, tip + kFetchBatchBlocks);
 }
 
 void ClusterNode::AbandonProposalLocked(uint64_t seq) {
@@ -870,36 +922,6 @@ void ClusterNode::AbandonProposalLocked(uint64_t seq) {
     system_->node()->RequeueVerified(std::move(block->transactions));
   }
   pending_.erase(it);
-}
-
-Result<size_t> ClusterNode::LeaderTick() {
-  const uint64_t v = view();
-  auto seq = ProposeOnce();
-  if (!seq.ok()) {
-    if (seq.status().code() == StatusCode::kNotFound) return size_t(0);
-    return seq.status();
-  }
-  for (uint32_t attempt = 0;; ++attempt) {
-    Status st = WaitApplied(*seq, options_.propose_wait_ms);
-    if (st.ok()) break;
-    if (view() != v) {
-      // Deposed mid-round: stop driving this proposal. Unprepared
-      // transactions go back to the pool; the new leader re-proposes
-      // anything that prepared.
-      std::lock_guard<std::mutex> lock(mu_);
-      AbandonProposalLocked(*seq);
-      return Status::Unavailable("cluster: leadership lost at view " +
-                                 std::to_string(view()));
-    }
-    if (attempt >= options_.propose_retries) {
-      std::lock_guard<std::mutex> lock(mu_);
-      AbandonProposalLocked(*seq);
-      return st;
-    }
-    (void)Retransmit(*seq);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_proposed_tx_count_;
 }
 
 Status ClusterNode::CatchUp(uint32_t peer) {
@@ -933,16 +955,19 @@ uint64_t ClusterNode::CurrentTimeoutMsLocked() {
 }
 
 void ClusterNode::MonitorTick() {
+  if (options_.propose_tick_ms > 0) ProposeWhileIdle();  // the idle beat
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t now = transport_->NowNs();
   if (is_leader()) {
-    if (!fault_leader_silent_ &&
+    if (!fault_leader_silent_ && options_.heartbeat_ms > 0 &&
         fault::FaultInjector::Global().ShouldFail("fault.net.leader_crash")) {
       // The leader hangs: no heartbeats and no proposals from here on.
       // Recovery = the replicas' election removing it (AdoptViewLocked).
       fault_leader_silent_ = true;
     }
-    if (fault_leader_silent_ ||
+    if (fault_leader_silent_) return;
+    RepairOwnProposalsLocked(now);
+    if (options_.heartbeat_ms == 0 ||
         now < last_heartbeat_sent_ns_ + options_.heartbeat_ms * kNsPerMs) {
       return;
     }
@@ -954,6 +979,7 @@ void ClusterNode::MonitorTick() {
                                  system_->node()->Height())));
     return;
   }
+  if (options_.heartbeat_ms == 0) return;
   const uint64_t timeout_ms = CurrentTimeoutMsLocked();
   if (now <= last_leader_seen_ns_ + timeout_ms * kNsPerMs) return;
   ClusterMetrics::Get().hb_miss->Increment();

@@ -28,13 +28,17 @@
 /// explicitly via StartViewChange().
 ///
 /// Lost frames (chaos drops, real packet loss) are repaired two ways:
-/// the leader retransmits an unacknowledged pre-prepare, and a replica
-/// that sees seq jump past its tip pulls the gap with
+/// the leader re-sends its stalled pre-prepare and pulls from a peer,
+/// and a replica that sees seq jump past its tip pulls the gap with
 /// kFetchBlocks [from, to) → kBlocksReply. The same pull path is the
 /// crash/rejoin catch-up (docs/OPERATIONS.md §Rejoin): a restarted node
 /// recovers its durable prefix from the WAL, then CatchUp() fetches the
 /// rest from any live peer; its stale view heals the moment it sees a
 /// heartbeat or pre-prepare from the legitimate leader of a newer view.
+///
+/// Who proposes: with ClusterOptions::propose_tick_ms > 0, the leader
+/// itself — on the thread that applied its previous block, and on its
+/// transport timer (docs/ARCHITECTURE.md §3.1); with 0, the caller.
 
 #pragma once
 
@@ -57,10 +61,10 @@ namespace confide::net {
 inline constexpr uint64_t kFetchBatchBlocks = 256;
 
 struct ClusterOptions {
-  /// Per-attempt quorum wait in LeaderTick before retransmitting.
-  uint64_t propose_wait_ms = 1000;
-  /// Retransmit attempts before LeaderTick gives up.
-  uint32_t propose_retries = 5;
+  /// When > 0, the leader proposes whenever its pool is non-empty and no
+  /// block of its own is in flight: as its previous block applies, and on
+  /// a transport timer beat at least this often. 0: the caller proposes.
+  uint64_t propose_tick_ms = 0;
   /// Reply wait for a kFetchBlocks pull: CatchUp's per-batch wait, and
   /// how long a gap-repair pull suppresses the next one (a lost request
   /// or reply is retried once it passes).
@@ -71,7 +75,8 @@ struct ClusterOptions {
   /// Base replica silence budget before starting a view change. The
   /// effective timeout doubles per consecutive failed election (capped at
   /// view_timeout_max_ms) and carries a per-node random jitter of up to
-  /// half the base so replicas do not stampede.
+  /// half the base so replicas do not stampede. A leader re-broadcasts a
+  /// pre-prepare of its own after this long.
   uint64_t view_timeout_ms = 1000;
   uint64_t view_timeout_max_ms = 16000;
   /// Seed for the election jitter PRNG (mixed with the node id).
@@ -80,8 +85,9 @@ struct ClusterOptions {
 
 /// \brief One cluster member: a bootstrapped ConfideSystem plus the
 /// replication state machine, wired to a Transport. Thread-safe: the
-/// frame handler runs on transport reader threads, LeaderTick/CatchUp on
-/// the caller's thread, the failure detector on the transport's timer.
+/// frame handler runs on transport reader threads (and proposes from
+/// there), CatchUp on the caller's thread, the failure detector and the
+/// propose beat on the transport's timer.
 class ClusterNode {
  public:
   /// \brief `system` must outlive the ClusterNode and is not owned.
@@ -89,9 +95,9 @@ class ClusterNode {
               ClusterOptions options = ClusterOptions{});
   ~ClusterNode();
 
-  /// \brief Installs the frame handler and (when heartbeat_ms > 0) the
-  /// heartbeat/election tick as the transport's timer, then starts the
-  /// transport.
+  /// \brief Installs the frame handler and (when heartbeat_ms or
+  /// propose_tick_ms is > 0) MonitorTick as the transport's timer, then
+  /// starts the transport.
   Status Start();
   void Stop();
 
@@ -113,26 +119,14 @@ class ClusterNode {
   /// \brief 2f+1 with f = (n-1)/3.
   static size_t Quorum(size_t n) { return 2 * ((n - 1) / 3) + 1; }
 
-  /// \brief Leader: pre-verify the pools and replicate one block end to
-  /// end (propose, quorum, apply — retransmitting on timeout). Returns
-  /// the number of transactions committed; 0 when the pools are empty.
-  /// Aborts (requeueing the block's transactions) when this node loses
-  /// the leadership view mid-round. Blocks until the cluster applies the
-  /// block, so it is for the TCP deployment; simulated tests drive
-  /// ProposeOnce + SimHub::DeliverAll.
-  Result<size_t> LeaderTick();
-
   /// \brief Leader: propose one block and broadcast its pre-prepare
   /// without waiting. Returns the block's seq (= height), NotFound when
   /// the pools are empty, or Unavailable when this node is not the
-  /// leader of the current view.
+  /// leader of the current view. Never runs concurrently with itself.
   Result<uint64_t> ProposeOnce();
 
   /// \brief Re-broadcasts the pre-prepare for a still-pending seq.
   Status Retransmit(uint64_t seq);
-
-  /// \brief Blocks until this node has applied `seq` (Height() > seq).
-  Status WaitApplied(uint64_t seq, uint64_t timeout_ms);
 
   /// \brief Pulls blocks from `peer` in kFetchBatchBlocks batches until a
   /// batch makes no progress (caught up). Blocking; TCP deployment only.
@@ -164,6 +158,7 @@ class ClusterNode {
     std::map<uint32_t, crypto::Hash256> commits;
     bool commit_sent = false;
     bool committed = false;
+    uint64_t sent_ns = 0;  ///< transport clock of the last (re-)broadcast
 
     /// Votes for this entry's block (none while the block is unknown).
     size_t Count(const std::map<uint32_t, crypto::Hash256>& votes) const {
@@ -204,7 +199,7 @@ class ClusterNode {
   /// undecodable wire is reported as Corruption.
   Status ApplyWireLocked(uint64_t seq, ByteView wire);
   /// \brief Issues one gap-repair kFetchBlocks [Height(), seq) to `peer`
-  /// when seq is past the tip and the tip block is missing.
+  /// when a leader's pre-prepare or heartbeat shows seq past the tip.
   void MaybeFetchGapLocked(uint64_t seq, uint32_t peer);
   /// \brief The one kFetchBlocks sender: pulls [from, to) from `peer`
   /// unless a pull is outstanding. A pull stays outstanding until its
@@ -220,22 +215,31 @@ class ClusterNode {
   /// and adopt the view.
   void MaybeCompleteElectionLocked(uint64_t target_view);
   /// \brief Switches to view v: resets election state, clears injected
-  /// fault flags (their recovery signal), wakes waiters.
+  /// fault flags (their recovery signal) and, when this node led the old
+  /// view but not v, abandons its own uncommitted proposals.
   void AdoptViewLocked(uint64_t v);
   /// \brief Installs a (re-)proposed block into pending_[seq] under
   /// `view`, replacing any stale lower-view entry, and broadcasts this
   /// node's kPrepare. `proposer` contributes the implicit prepare.
   void InstallProposalLocked(uint64_t view, uint64_t seq, ByteView wire,
                              uint32_t proposer);
-  /// \brief Drops an uncommitted proposal this node abandoned (deposed or
-  /// out of retries) and requeues its transactions unless a prepare
+  /// \brief Drops an uncommitted proposal this node abandoned (deposed)
+  /// and requeues its transactions unless a prepare
   /// quorum was already observed (then the entry may commit in the next
   /// view and must not be double-submitted).
   void AbandonProposalLocked(uint64_t seq);
-  /// \brief One failure-detector step on the transport's clock: the
-  /// leader heartbeats every heartbeat_ms; a replica that has not heard
-  /// the leader within the election timeout starts a view change. The
-  /// transport's timer calls it (when heartbeat_ms > 0).
+  /// \brief Re-broadcasts each own pre-prepare that waited view_timeout_ms
+  /// and then pulls [Height(), +kFetchBatchBlocks) from the next peer.
+  void RepairOwnProposalsLocked(uint64_t now);
+  Status RetransmitLocked(uint64_t seq);
+  /// \brief Proposes while this node leads, has no block of its own in
+  /// flight and has transactions pooled. Returns at once if another
+  /// thread holds the turn; that thread re-checks afterwards.
+  void ProposeWhileIdle();
+  /// \brief One step on the transport's clock: the leader heartbeats
+  /// every heartbeat_ms, repairs its stalled proposals and proposes when
+  /// idle; a replica that has not heard the leader within the election
+  /// timeout starts a view change (heartbeat_ms > 0).
   void MonitorTick();
   uint64_t NextJitterLocked();
   /// \brief Current election timeout: base * 2^consecutive_failed capped
@@ -246,12 +250,15 @@ class ClusterNode {
   std::unique_ptr<Transport> transport_;
   ClusterOptions options_;
 
+  std::recursive_mutex propose_mu_;  ///< one proposal at a time; before mu_
+  std::atomic<bool> propose_after_apply_{false};  ///< a block applied: propose
+  uint64_t pull_beats_ = 0;  ///< leader pulls so far (picks the peer); mu_
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::map<uint64_t, Pending> pending_;
   uint64_t fetch_deadline_ns_ = 0;  ///< transport clock; pull outstanding until then
   uint64_t fetch_generation_ = 0;  ///< bumped when a kBlocksReply lands
-  size_t last_proposed_tx_count_ = 0;
 
   // View-change state (all guarded by mu_ except the published view_).
   std::atomic<uint64_t> view_{0};

@@ -3,12 +3,12 @@
 ///
 /// Bootstraps a full node (platform + enclaves + engines + chain node,
 /// system.h) from the shared consortium seed, joins the cluster over the
-/// framed TCP transport, catches up from a live peer, then replicates
-/// blocks — the leader of the current view (node view % n) proposes on a
-/// tick, replicas follow the PBFT-lite vote rounds and elect a new
-/// leader when the current one falls silent (cluster.h §Leader
-/// failover). SIGINT/SIGTERM drain and exit, dumping the metrics
-/// registry when --metrics-out is set.
+/// framed TCP transport and catches up from a live peer. The ClusterNode
+/// then drives itself: the leader of the current view (node view % n)
+/// proposes on its transport threads, replicas follow the PBFT-lite vote
+/// rounds and elect a new leader when the current one falls silent
+/// (cluster.h §Leader failover). main only waits for SIGINT/SIGTERM,
+/// dumping the metrics registry when --metrics-out is set.
 ///
 /// docs/OPERATIONS.md walks through launching a 3-node cluster.
 
@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
   net::TcpTransport* tcp = transport.get();
 
   net::ClusterOptions cluster_options;
+  cluster_options.propose_tick_ms = cfg->tick_ms;
   cluster_options.heartbeat_ms = cfg->heartbeat_ms;
   cluster_options.view_timeout_ms = cfg->view_timeout_ms;
   cluster_options.view_timeout_max_ms =
@@ -99,19 +100,7 @@ int main(int argc, char** argv) {
   }
 
   while (!g_stop.load()) {
-    // Leadership is per-view: re-check every iteration so this process
-    // starts proposing the moment it wins an election and stops the
-    // moment it is deposed.
-    if (cluster.is_leader()) {
-      auto committed = cluster.LeaderTick();
-      if (!committed.ok()) {
-        std::fprintf(stderr, "confided: leader tick: %s\n",
-                     committed.status().ToString().c_str());
-      } else if (*committed > 0) {
-        continue;  // keep draining a busy pool without sleeping
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(cfg->tick_ms));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
   std::printf("confided: node %u stopping at height %llu\n", cfg->node_id,

@@ -96,6 +96,10 @@ Result<NodeConfig> NodeConfig::FromArgs(int argc, char** argv) {
   if (cfg.peers.empty()) {
     return Status::InvalidArgument("--peers (or CONFIDED_PEERS) is required");
   }
+  if (cfg.tick_ms == 0) {
+    // The beat is what proposes on an idle leader: 0 would never propose.
+    return Status::InvalidArgument("--tick-ms must be > 0");
+  }
   if (cfg.node_id >= cfg.peers.size()) {
     return Status::InvalidArgument("--node-id " + std::to_string(cfg.node_id) +
                                    " not in --peers (" +

@@ -653,12 +653,86 @@ TEST(SimViewChangeTest, StaleRejoinerAdoptsNewViewAndRepairsGap) {
 }
 
 // ---------------------------------------------------------------------------
-// TCP clusters: real sockets, blocking LeaderTick, catch-up
+// The propose driver (ClusterOptions::propose_tick_ms > 0) in virtual time
+// ---------------------------------------------------------------------------
+
+TEST(SimProposerTest, TxSubmittedMidRoundCommitsInTheNextBlockBeforeTheBeat) {
+  // Rule (a): the leader proposes again the moment its previous block
+  // applies, so a transaction that arrived during the round rides the
+  // very next block instead of waiting for the idle beat. Rule (b): a
+  // transaction that reaches an idle leader goes out on the beat.
+  ClusterOptions options;
+  options.propose_tick_ms = 1000;
+  SimCluster c(4, ClusterSystemOptions(), options, /*hub_seed=*/5);
+  ASSERT_TRUE(c.status.ok()) << c.status.ToString();
+  auto* proposals = metrics::GetCounter("cluster.propose.count");
+  const uint64_t proposals_before = proposals->Value();
+  const uint64_t t0 = c.hub.now_ns();
+  const uint64_t h0 = c.nodes[0]->Height();
+  chain::Address addr = NamedAddress("driver.counter");
+  ASSERT_TRUE(c.systems[0]
+                  ->node()
+                  ->SubmitTransaction(c.client->MakePublicTx(
+                      addr, "__deploy__", DeployPayload(CounterCode())))
+                  .ok());
+  ASSERT_TRUE(c.nodes[0]->ProposeOnce().ok());
+  const chain::Transaction mid_round = c.client->MakePublicTx(addr, "increment", Bytes{});
+  ASSERT_TRUE(c.systems[0]->node()->SubmitTransaction(mid_round).ok());
+  c.hub.DeliverAll();
+  EXPECT_LT(c.hub.now_ns() - t0, options.propose_tick_ms * 1'000'000);
+  EXPECT_EQ(proposals->Value() - proposals_before, 2u);
+  for (uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(c.nodes[i]->Height(), h0 + 2) << "node " << i;
+    EXPECT_TRUE(c.systems[i]->node()->GetReceipt(mid_round.Hash()).ok()) << "node " << i;
+  }
+
+  const chain::Transaction idle = c.client->MakePublicTx(addr, "increment", Bytes{});
+  ASSERT_TRUE(c.systems[0]->node()->SubmitTransaction(idle).ok());
+  ASSERT_TRUE(c.RunUntil([&] {
+    for (auto& node : c.nodes) {
+      if (node->Height() != h0 + 3) return false;
+    }
+    return true;
+  }, 2 * options.propose_tick_ms));
+  EXPECT_TRUE(c.systems[3]->node()->GetReceipt(idle.Hash()).ok());
+}
+
+TEST(SimProposerTest, DeposedLeaderRequeuesUnpreparedTransactions) {
+  // A leader whose proposal never reached a prepare quorum abandons it
+  // when it adopts a view it does not lead: the transactions go back to
+  // its verified pool, once.
+  SimViewCluster c(4);
+  ASSERT_TRUE(c.sim.SetPartition(0, 1).ok());  // node 0's frames go nowhere
+  ASSERT_TRUE(c.systems[0]
+                  ->node()
+                  ->SubmitTransaction(c.client->MakePublicTx(
+                      NamedAddress("deposed.counter"), "__deploy__",
+                      DeployPayload(CounterCode())))
+                  .ok());
+  ASSERT_TRUE(c.nodes[0]->ProposeOnce().ok());
+  c.hub.DeliverAll();
+  EXPECT_EQ(c.systems[0]->node()->VerifiedPoolSize(), 0u);  // in the block
+  c.sim.HealPartitions();
+
+  auto* abandoned = metrics::GetCounter("cluster.proposal.abandoned.count");
+  const uint64_t abandoned_before = abandoned->Value();
+  for (uint32_t i = 1; i < 4; ++i) c.nodes[i]->StartViewChange(1);
+  c.hub.DeliverAll();
+  EXPECT_EQ(c.nodes[0]->view(), 1u);
+  EXPECT_FALSE(c.nodes[0]->is_leader());
+  EXPECT_EQ(abandoned->Value() - abandoned_before, 1u);
+  EXPECT_EQ(c.systems[0]->node()->VerifiedPoolSize(), 1u);
+  for (auto& node : c.nodes) EXPECT_EQ(node->Height(), c.nodes[1]->Height());
+}
+
+// ---------------------------------------------------------------------------
+// TCP clusters: real sockets, the leader proposing on its own timer,
+// catch-up
 // ---------------------------------------------------------------------------
 
 class TcpClusterTest : public ::testing::Test {
  protected:
-  TcpClusterTest() { base_options_.propose_wait_ms = 2000; }
+  TcpClusterTest() { base_options_.propose_tick_ms = 10; }
 
   void StartCluster(size_t n) {
     for (size_t i = 0; i < n; ++i) {
@@ -690,6 +764,13 @@ class TcpClusterTest : public ::testing::Test {
     }
   }
 
+  /// Waits for node `id` to hold a receipt for `tx`: the leader proposes
+  /// it on its own, so committing is all a test can wait for.
+  bool WaitCommitted(const chain::Transaction& tx, uint32_t id = 0) {
+    const crypto::Hash256 hash = tx.Hash();
+    return WaitFor([&] { return systems_[id]->node()->GetReceipt(hash).ok(); });
+  }
+
   bool Converged() {
     for (size_t i = 1; i < nodes_.size(); ++i) {
       if (!nodes_[i]) continue;
@@ -707,6 +788,7 @@ class TcpClusterTest : public ::testing::Test {
 
 TEST_F(TcpClusterTest, ThreeProcessesShapedClusterCommitsAndServesQueries) {
   StartCluster(3);
+  const uint64_t h0 = nodes_[0]->Height();
   Client client(99, systems_[0]->pk_tx());
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("tcp.counter");
@@ -720,9 +802,8 @@ TEST_F(TcpClusterTest, ThreeProcessesShapedClusterCommitsAndServesQueries) {
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   ASSERT_EQ(ack->type, MsgType::kSubmitTxAck);
 
-  auto committed = nodes_[0]->LeaderTick();
-  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-  EXPECT_EQ(*committed, 1u);
+  ASSERT_TRUE(WaitCommitted(deploy));
+  EXPECT_EQ(nodes_[0]->Height(), h0 + 1);
   ASSERT_TRUE(WaitFor([&] { return Converged(); }));
 
   // Receipt query against a replica (receipts replicate with the block).
@@ -797,18 +878,14 @@ TEST_F(TcpClusterTest, LateReplicaCatchesUpFromLivePeer) {
   Client client(99, systems_[0]->pk_tx());
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("tcp.rejoin");
-  ASSERT_TRUE(systems_[0]
-                  ->node()
-                  ->SubmitTransaction(
-                      client.MakePublicTx(addr, "__deploy__", DeployPayload(code)))
-                  .ok());
-  ASSERT_TRUE(nodes_[0]->LeaderTick().ok());
+  const chain::Transaction deploy =
+      client.MakePublicTx(addr, "__deploy__", DeployPayload(code));
+  ASSERT_TRUE(systems_[0]->node()->SubmitTransaction(deploy).ok());
+  ASSERT_TRUE(WaitCommitted(deploy));
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(systems_[0]
-                    ->node()
-                    ->SubmitTransaction(client.MakePublicTx(addr, "increment", Bytes{}))
-                    .ok());
-    ASSERT_TRUE(nodes_[0]->LeaderTick().ok());
+    const chain::Transaction tx = client.MakePublicTx(addr, "increment", Bytes{});
+    ASSERT_TRUE(systems_[0]->node()->SubmitTransaction(tx).ok());
+    ASSERT_TRUE(WaitCommitted(tx));
   }
   const uint64_t leader_height = nodes_[0]->Height();
 
@@ -836,12 +913,11 @@ TEST_F(TcpClusterTest, CatchUpFailureReleasesFetchLatch) {
   EXPECT_FALSE(nodes_[0]->fetch_in_flight_for_test());
 }
 
-TEST_F(TcpClusterTest, AbandonedProposalRequeuesTransactionsForNextRound) {
-  // Regression: a leader that cannot reach quorum abandons the round; the
-  // drained transactions must return to the verified pool and the stale
-  // Pending entry must not block the same seq once peers appear.
-  base_options_.propose_wait_ms = 100;
-  base_options_.propose_retries = 1;
+TEST_F(TcpClusterTest, LoneLeaderRetransmitsUntilQuorumBootsThenCommitsOnce) {
+  // A leader that cannot reach quorum keeps re-broadcasting its proposal
+  // every view timeout, with no retry cap and nothing abandoned; once the
+  // replicas boot, that same seq commits, exactly once.
+  base_options_.view_timeout_ms = 100;
   for (size_t i = 0; i < 4; ++i) {
     peers_.push_back("127.0.0.1:" + std::to_string(PickPort()));
   }
@@ -851,25 +927,33 @@ TEST_F(TcpClusterTest, AbandonedProposalRequeuesTransactionsForNextRound) {
 
   Client client(99, systems_[0]->pk_tx());
   const Bytes code = CounterCode();
-  chain::Address addr = NamedAddress("tcp.abandon");
-  ASSERT_TRUE(systems_[0]
-                  ->node()
-                  ->SubmitTransaction(
-                      client.MakePublicTx(addr, "__deploy__", DeployPayload(code)))
-                  .ok());
-
-  auto tick = nodes_[0]->LeaderTick();
-  EXPECT_FALSE(tick.ok());
+  chain::Address addr = NamedAddress("tcp.retransmit");
+  const chain::Transaction deploy =
+      client.MakePublicTx(addr, "__deploy__", DeployPayload(code));
+  auto* retransmits = metrics::GetCounter("cluster.retransmit.count");
+  auto* abandoned = metrics::GetCounter("cluster.proposal.abandoned.count");
+  const uint64_t retransmits_before = retransmits->Value();
+  const uint64_t abandoned_before = abandoned->Value();
   const uint64_t h0 = nodes_[0]->Height();
-  EXPECT_EQ(systems_[0]->node()->VerifiedPoolSize(), 1u);
+  ASSERT_TRUE(systems_[0]->node()->SubmitTransaction(deploy).ok());
 
-  // The quorum arrives late; the same seq must now replicate cleanly.
+  ASSERT_TRUE(WaitFor([&] { return retransmits->Value() >= retransmits_before + 3; }));
+  EXPECT_EQ(nodes_[0]->Height(), h0);
+  EXPECT_EQ(systems_[0]->node()->VerifiedPoolSize(), 0u);  // in flight, not requeued
+  EXPECT_EQ(abandoned->Value(), abandoned_before);
+
+  // The quorum arrives late; the next retransmission carries it through.
   for (uint32_t id = 1; id < 4; ++id) StartNode(id);
-  auto committed = nodes_[0]->LeaderTick();
-  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-  EXPECT_EQ(*committed, 1u);
-  EXPECT_EQ(nodes_[0]->Height(), h0 + 1);
-  ASSERT_TRUE(WaitFor([&] { return Converged(); }));
+  ASSERT_TRUE(WaitFor([&] { return nodes_[0]->Height() == h0 + 1 && Converged(); }));
+  // Exactly once: a few more view timeouts propose nothing further.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (uint32_t id = 0; id < 4; ++id) {
+    EXPECT_EQ(nodes_[id]->Height(), h0 + 1) << "node " << id;
+    EXPECT_TRUE(systems_[id]->node()->GetReceipt(deploy.Hash()).ok()) << "node " << id;
+  }
+  EXPECT_EQ(systems_[0]->node()->VerifiedPoolSize() +
+                systems_[0]->node()->UnverifiedPoolSize(),
+            0u);
 }
 
 TEST_F(TcpClusterTest, HeartbeatDetectorElectsNewLeaderAndRedirects) {
@@ -880,12 +964,10 @@ TEST_F(TcpClusterTest, HeartbeatDetectorElectsNewLeaderAndRedirects) {
   Client client(99, systems_[0]->pk_tx());
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("tcp.failover");
-  ASSERT_TRUE(systems_[0]
-                  ->node()
-                  ->SubmitTransaction(
-                      client.MakePublicTx(addr, "__deploy__", DeployPayload(code)))
-                  .ok());
-  ASSERT_TRUE(nodes_[0]->LeaderTick().ok());
+  const chain::Transaction deploy =
+      client.MakePublicTx(addr, "__deploy__", DeployPayload(code));
+  ASSERT_TRUE(systems_[0]->node()->SubmitTransaction(deploy).ok());
+  ASSERT_TRUE(WaitCommitted(deploy));
   ASSERT_TRUE(WaitFor([&] { return Converged(); }));
   const uint64_t h1 = nodes_[0]->Height();
 
@@ -916,15 +998,14 @@ TEST_F(TcpClusterTest, HeartbeatDetectorElectsNewLeaderAndRedirects) {
   ASSERT_TRUE(hint.ok());
   EXPECT_EQ(uint32_t(*hint), leader);
 
-  // Re-routed to the announced leader, the survivors commit without 0.
+  // Re-routed to the announced leader, the survivors commit without 0:
+  // the elected node proposes on its own timer.
   auto to_leader = FrameClient::Dial(peers_[leader]);
   ASSERT_TRUE(to_leader.ok());
   auto ack = to_leader->Call(MsgType::kSubmitTx, tx.Serialize());
   ASSERT_TRUE(ack.ok()) << ack.status().ToString();
   ASSERT_EQ(ack->type, MsgType::kSubmitTxAck);
-  auto committed = nodes_[leader]->LeaderTick();
-  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
-  EXPECT_EQ(*committed, 1u);
+  ASSERT_TRUE(WaitCommitted(tx, leader));
   ASSERT_TRUE(WaitFor([&] {
     return nodes_[1]->Height() == h1 + 1 && nodes_[2]->Height() == h1 + 1;
   }));
@@ -956,7 +1037,7 @@ TEST_F(TcpClusterTest, GatewayFailsOverAndChasesElectedLeader) {
                          "{\"tx\":\"" + HexEncode(deploy.Serialize()) + "\"}");
   ASSERT_TRUE(post.ok());
   ASSERT_EQ(post->status, 202) << post->body;
-  ASSERT_TRUE(nodes_[0]->LeaderTick().ok());
+  ASSERT_TRUE(WaitCommitted(deploy));
   ASSERT_TRUE(WaitFor([&] { return Converged(); }));
   const uint64_t h1 = nodes_[0]->Height();
 
@@ -983,7 +1064,6 @@ TEST_F(TcpClusterTest, GatewayFailsOverAndChasesElectedLeader) {
 
   const uint32_t leader = nodes_[1]->leader();
   ASSERT_NE(leader, 0u);
-  ASSERT_TRUE(nodes_[leader]->LeaderTick().ok());
   ASSERT_TRUE(WaitFor([&] {
     return nodes_[1]->Height() == h1 + 1 && nodes_[2]->Height() == h1 + 1;
   }));
@@ -1066,7 +1146,8 @@ TEST_F(TcpClusterTest, GatewayServesSubmissionAndQueriesEndToEnd) {
       "/v1/tx", "{\"tx\":\"" + HexEncode(conf_deploy->tx.Serialize()) + "\"}");
   ASSERT_TRUE(conf_deploy_post.ok());
   ASSERT_EQ(conf_deploy_post->status, 202) << conf_deploy_post->body;
-  ASSERT_TRUE(nodes_[0]->LeaderTick().ok());
+  ASSERT_TRUE(WaitCommitted(deploy));
+  ASSERT_TRUE(WaitCommitted(conf_deploy->tx));
 
   auto call = client.MakeConfidentialTx(conf_addr, "increment", Bytes{});
   ASSERT_TRUE(call.ok());
@@ -1078,7 +1159,7 @@ TEST_F(TcpClusterTest, GatewayServesSubmissionAndQueriesEndToEnd) {
   ASSERT_TRUE(conf_json.ok());
   EXPECT_EQ(conf_json->Find("type")->as_string(), "confidential");
   const std::string tx_hash_hex = conf_json->Find("tx_hash")->as_string();
-  ASSERT_TRUE(nodes_[0]->LeaderTick().ok());
+  ASSERT_TRUE(WaitCommitted(call->tx));
   ASSERT_TRUE(WaitFor([&] { return Converged(); }));
 
   // The receipt query routes to a replica; the sealed output opens with

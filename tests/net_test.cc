@@ -368,6 +368,13 @@ TEST(ConfigTest, BadPeerAddressRejected) {
   EXPECT_FALSE(NodeConfig::FromArgs(int(argv.size()), argv.data()).ok());
 }
 
+TEST(ConfigTest, ZeroTickRejected) {
+  // The tick is the idle leader's propose beat: 0 would never propose.
+  std::vector<std::string> args = {"confided", "--peers=127.0.0.1:1", "--tick-ms=0"};
+  auto argv = Argv(args);
+  EXPECT_FALSE(NodeConfig::FromArgs(int(argv.size()), argv.data()).ok());
+}
+
 TEST(ConfigTest, EnvFallbackAndFlagPrecedence) {
   ::setenv("CONFIDED_SEED", "42", 1);
   ::setenv("CONFIDED_TICK_MS", "11", 1);

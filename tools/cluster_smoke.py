@@ -7,13 +7,18 @@ confidential/plaintext load through `bench_load`, then asserts the
 deployment-shaped invariants that the in-process test suites cannot:
 
   1. every process comes up and prints its readiness line;
-  2. the load driver sustains at least one RPS step against the gateway
-     (which itself verifies sealed receipts open with the client key and
-     that all nodes report identical tip hashes);
+  2. every transaction the gateway acknowledges commits: the load driver
+     fails unless each 202-acknowledged submission has a receipt once
+     the cluster drains (it also verifies sealed receipts open with the
+     client key and that all nodes report identical tip hashes). No node
+     is told to propose: the leader drives itself on its --tick-ms timer;
   3. a direct /v1/status poll after the run confirms convergence again,
      from outside the load driver;
   4. the bench metrics snapshot (metrics.json) is well-formed and
      carries the bench.load.* series CI archives per commit.
+
+The sweep measures submit acknowledgements, which is intake, not
+capacity: a step is never reported as "sustained".
 
 With --kill-leader the smoke additionally rehearses leader failover
 (docs/OPERATIONS.md §Failover): after the first load phase it SIGKILLs
@@ -21,8 +26,9 @@ node 0 (the view-0 leader), waits for the survivors to elect a
 successor via the heartbeat detector (the gateway's /v1/status reports
 each node's view and leader), then runs a second load phase — with a
 fresh contract prefix, since the first phase's contracts are already
-deployed — that must sustain its RPS gate against the re-formed
-cluster. The final convergence check then requires exactly the
+deployed — whose every acknowledged transaction must commit. The
+elected node starts proposing on its own timer; nothing in confided's
+main re-checks leadership. The final convergence check then requires exactly the
 survivors to agree (the killed node must report reachable=false).
 
 Everything binds to 127.0.0.1 on ephemeral ports picked up-front, so
@@ -187,7 +193,8 @@ def main():
 
         # The load driver submits the mixed workload, sweeps the RPS
         # steps, verifies sampled sealed receipts open, and exits
-        # non-zero on divergence or an unsustained sweep.
+        # non-zero on divergence or on an acknowledged tx that never
+        # committed.
         env = dict(os.environ, CONFIDE_METRICS_OUT=args.out)
         rc = subprocess.call(
             [
@@ -261,9 +268,9 @@ def main():
 
         with open(args.out) as metrics_file:
             metrics = json.load(metrics_file)
-        gauges = metrics.get("gauges", {})
-        if gauges.get("bench.load.max_sustained_rps", 0) <= 0:
-            print("cluster_smoke: metrics.json missing sustained-rps gauge",
+        counters = metrics.get("counters", {})
+        if counters.get("bench.load.submitted.count", 0) <= 0:
+            print("cluster_smoke: metrics.json missing bench.load counters",
                   file=sys.stderr)
             return 1
 
