@@ -22,22 +22,12 @@
 /// transaction is executed (really, through the enclave) and timed
 /// individually; the block's k-way makespan is then computed by LPT
 /// scheduling of the conflict groups the engine reports — asserted below
-/// to be exactly the groups the parallel BlockExecutor schedules.
-///
-/// `--real-threads` instead measures the *pipelined block lifecycle* as
-/// wall time: two identically-seeded systems run the same workload, one
-/// with the serial lifecycle and one with pipeline_depth=3 on 4 workers,
-/// both paying a real ~6 ms commit wait plus a WAL fsync per block. The
-/// pipeline overlaps pre-verify/execute/commit across consecutive
-/// blocks, so the measured speedup is reported next to the stage-
-/// makespan (LPT-style) prediction, and the post-run state roots of the
-/// two systems are asserted identical.
-
-#include <sys/stat.h>
-#include <unistd.h>
+/// to be exactly the groups the parallel BlockExecutor schedules. Every
+/// transfer is executed and timed once, and all 20 (nodes × series)
+/// configs are computed from those same timings, so wall-clock noise
+/// cannot land differently in different columns.
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <queue>
 
@@ -75,8 +65,8 @@ double Makespan(const std::map<uint64_t, double>& group_seconds, uint32_t k) {
   return makespan;
 }
 
-/// The byte-budget block partition ProposeBlock (and pipeline stage 2)
-/// uses: first tx always accepted, then until the budget would overflow.
+/// The byte-budget block partition ProposeBlock uses: first tx always
+/// accepted, then until the budget would overflow.
 std::vector<std::vector<size_t>> PartitionIntoBlocks(
     const std::vector<chain::Transaction>& txs, size_t block_bytes) {
   std::vector<std::vector<size_t>> blocks;
@@ -121,9 +111,16 @@ uint64_t ConsensusNs(net::SimCluster* cluster, const chain::NetworkSim& net,
   return *ns;
 }
 
-double RunConfig(core::ConfideSystem* sys, core::Client* client,
-                 net::SimCluster* cluster, const chain::NetworkSim& net,
-                 uint32_t threads) {
+/// One proposed block of the workload: its wire size and the measured
+/// execution seconds of each conflict group.
+struct TimedBlock {
+  size_t wire_bytes = 0;
+  std::map<uint64_t, double> group_seconds;
+};
+
+/// Executes and times each of the kTxTotal ABS transfers once, block by
+/// block as ProposeBlock would cut them.
+std::vector<TimedBlock> ExecuteWorkload(core::ConfideSystem* sys, core::Client* client) {
   crypto::Drbg rng(7);
   std::vector<chain::Transaction> txs;
   for (int i = 0; i < kTxTotal; ++i) {
@@ -139,12 +136,10 @@ double RunConfig(core::ConfideSystem* sys, core::Client* client,
   engines.public_engine = sys->public_engine();
   engines.confidential_engine = engine;
 
-  // Partition into blocks by byte budget, as ProposeBlock would.
   chain::CommitStateDb* state = sys->node()->state();
-  double total_seconds = 0;
-  size_t executed = 0;
+  std::vector<TimedBlock> timed;
   for (const std::vector<size_t>& block : PartitionIntoBlocks(txs, kBlockBytes)) {
-    // The LPT makespan below schedules conflict *groups*; assert they are
+    // The LPT makespan schedules conflict *groups*; assert they are
     // exactly the groups the real parallel executor would schedule for
     // this block (they can drift apart if the engine's conflict-key cache
     // and the executor's grouping disagree).
@@ -154,7 +149,7 @@ double RunConfig(core::ConfideSystem* sys, core::Client* client,
         chain::BlockExecutor::GroupByConflictKey(block_txs, engines);
     if (!executor_groups.ok()) std::abort();
 
-    std::map<uint64_t, double> group_seconds;
+    TimedBlock& out = timed.emplace_back();
     std::map<uint64_t, std::vector<size_t>> simulated_groups;
     for (size_t i = 0; i < block.size(); ++i) {
       const chain::Transaction& tx = txs[block[i]];
@@ -162,12 +157,10 @@ double RunConfig(core::ConfideSystem* sys, core::Client* client,
       // cached conflict key on execution (bounded residency).
       uint64_t group = engine->ConflictKey(tx);
       simulated_groups[group].push_back(i);
-      double secs = TimeSeconds([&] {
+      out.group_seconds[group] += TimeSeconds([&] {
         auto receipt = engine->Execute(tx, state);
         if (!receipt.ok() || !receipt->success) std::abort();
       });
-      group_seconds[group] += secs;
-      ++executed;
     }
     if (simulated_groups != *executor_groups) {
       std::printf("MISMATCH: LPT-simulated conflict grouping differs from "
@@ -176,19 +169,31 @@ double RunConfig(core::ConfideSystem* sys, core::Client* client,
       std::exit(1);
     }
     (void)state->Commit();
-    double exec_seconds = Makespan(group_seconds, threads);
-    const uint64_t consensus_ns =
-        ConsensusNs(cluster, net, BlockWireBytes(std::move(block_txs)));
-    total_seconds += exec_seconds + double(consensus_ns) / 1e9 + 0.006;
+    out.wire_bytes = BlockWireBytes(std::move(block_txs));
   }
-  return double(executed) / total_seconds;
+  return timed;
 }
 
-int RunSimulated() {
+/// Throughput of one config: per block, makespan(k) of the measured group
+/// times + the block's PBFT round on `cluster` over `net` + the 6 ms write.
+double ConfigTps(const std::vector<TimedBlock>& timed, net::SimCluster* cluster,
+                 const chain::NetworkSim& net, uint32_t threads) {
+  double total_seconds = 0;
+  for (const TimedBlock& block : timed) {
+    const uint64_t consensus_ns = ConsensusNs(cluster, net, block.wire_bytes);
+    total_seconds +=
+        Makespan(block.group_seconds, threads) + double(consensus_ns) / 1e9 + 0.006;
+  }
+  return double(kTxTotal) / total_seconds;
+}
+
+}  // namespace
+
+int main() {
   std::printf("== Figure 11: scalability with the ABS workload (tx/s) ==\n");
-  std::printf("%d confidential ABS transfers per config; per-block time = "
-              "exec makespan(k) + PBFT (ClusterNode rounds, virtual time) + "
-              "6ms SSD write\n\n",
+  std::printf("%d confidential ABS transfers, each executed and timed once; "
+              "per-block time = exec makespan(k) + PBFT (ClusterNode rounds, "
+              "virtual time) + 6ms SSD write\n\n",
               kTxTotal);
 
   // One system serves all configs (execution cost does not depend on the
@@ -208,6 +213,7 @@ int RunSimulated() {
     MustDeploy(sys.get(), &client, name, workloads::AbsContractSource(), true);
     MustCall(sys.get(), &client, name, "abs_seed_whitelist", Bytes{});
   }
+  const std::vector<TimedBlock> timed = ExecuteWorkload(sys.get(), &client);
 
   const size_t kNodes[] = {4, 8, 12, 16, 20};
   struct Series {
@@ -223,7 +229,7 @@ int RunSimulated() {
   };
 
   // Cluster size is the outer loop so one replication cluster is alive at
-  // a time; each series replays its blocks through it.
+  // a time; each series replays the timed blocks' rounds through it.
   double tps[4][5];
   for (size_t ni = 0; ni < 5; ++ni) {
     core::SystemOptions node_options;
@@ -234,7 +240,7 @@ int RunSimulated() {
       const chain::NetworkSim net = kSeries[s].two_zone
                                         ? chain::NetworkSim::TwoZone(kNodes[ni])
                                         : chain::NetworkSim::SingleZone(kNodes[ni]);
-      tps[s][ni] = RunConfig(sys.get(), &client, &cluster, net, kSeries[s].threads);
+      tps[s][ni] = ConfigTps(timed, &cluster, net, kSeries[s].threads);
     }
   }
 
@@ -274,183 +280,4 @@ int RunSimulated() {
   std::printf("overall: %s\n", ok ? "PASS" : "MISMATCH");
   confide::bench::DumpMetrics();
   return ok ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
-// --real-threads: measured pipelined lifecycle vs serial, wall clock.
-// ---------------------------------------------------------------------------
-
-constexpr uint64_t kCommitLatencyNs = 6'000'000;  // paper §6.4 cloud-SSD write
-
-std::string MakeTempDir(const char* tag) {
-  std::string tmpl = std::string("/tmp/fig11-") + tag + "-XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  if (::mkdtemp(buf.data()) == nullptr) std::abort();
-  return std::string(buf.data());
-}
-
-struct RealRun {
-  double seconds = 0;
-  double preverify_seconds = 0;  // serial run only (from stage metrics)
-  double execute_seconds = 0;
-  crypto::Hash256 state_root{};
-  uint64_t height = 0;
-  size_t receipts = 0;
-};
-
-RealRun RunRealWorkload(uint32_t pipeline_depth, size_t block_bytes,
-                        int tx_total, const std::string& wal_dir) {
-  core::SystemOptions options;
-  options.seed = 41'000;
-  options.parallelism = 4;  // 4 pipeline workers
-  options.pipeline_depth = pipeline_depth;
-  options.block_max_bytes = block_bytes;
-  options.cs.enable_ocall_batching = false;
-  options.sync_commits = true;  // real WAL fsync per commit (group)
-  options.commit_write_latency_ns = kCommitLatencyNs;
-  options.state_wal_dir = wal_dir;
-  // This mode compares fixed depths against each other, so the
-  // CONFIDE_PIPELINE_DEPTH CI override must not apply.
-  auto sys = MustBootstrap(options, /*honor_env=*/false);
-  core::Client client(5, sys->pk_tx());
-  for (int i = 0; i < kAbsInstances; ++i) {
-    std::string name = "abs-" + std::to_string(i);
-    MustDeploy(sys.get(), &client, name, workloads::AbsContractSource(), true);
-    MustCall(sys.get(), &client, name, "abs_seed_whitelist", Bytes{});
-  }
-
-  crypto::Drbg rng(7);
-  for (int i = 0; i < tx_total; ++i) {
-    std::string name = "abs-" + std::to_string(i % kAbsInstances);
-    auto sub = client.MakeConfidentialTx(chain::NamedAddress(name), "abs_transfer",
-                                         workloads::MakeAbsAssetFlat(&rng, i));
-    if (!sub.ok() || !sys->node()->SubmitTransaction(sub->tx).ok()) std::abort();
-  }
-
-  auto* preverify_hist =
-      metrics::GetHistogram("chain.preverify.batch.latency_ns");
-  auto* execute_hist = metrics::GetHistogram("chain.block.execute.latency_ns");
-  uint64_t preverify_before = preverify_hist->sum();
-  uint64_t execute_before = execute_hist->sum();
-
-  RealRun run;
-  run.seconds = TimeSeconds([&] {
-    auto receipts = sys->RunToCompletion();
-    if (!receipts.ok()) {
-      std::fprintf(stderr, "real-threads run failed: %s\n",
-                   receipts.status().ToString().c_str());
-      std::abort();
-    }
-    run.receipts = receipts->size();
-    for (const chain::Receipt& receipt : *receipts) {
-      if (!receipt.success) std::abort();
-    }
-  });
-  run.preverify_seconds = double(preverify_hist->sum() - preverify_before) / 1e9;
-  run.execute_seconds = double(execute_hist->sum() - execute_before) / 1e9;
-  run.state_root = sys->node()->state()->StateRoot();
-  run.height = sys->node()->Height();
-  return run;
-}
-
-int RunRealThreads() {
-  std::printf("== Figure 11 (--real-threads): measured pipelined lifecycle ==\n");
-
-  // Calibrate the block byte budget so one block's execution cost lands
-  // near the ~6 ms commit wait — the regime where verify/execute/commit
-  // overlap pays (a half-empty pipeline would only measure the bubble).
-  double per_tx_secs;
-  size_t tx_bytes;
-  {
-    core::SystemOptions options;
-    options.seed = 41'000;
-    options.cs.enable_ocall_batching = false;
-    options.block_max_bytes = kBlockBytes;
-    auto sys = MustBootstrap(options, /*honor_env=*/false);
-    core::Client client(5, sys->pk_tx());
-    MustDeploy(sys.get(), &client, "abs-0", workloads::AbsContractSource(), true);
-    MustCall(sys.get(), &client, "abs-0", "abs_seed_whitelist", Bytes{});
-    crypto::Drbg rng(7);
-    constexpr int kSample = 8;
-    double total = 0;
-    tx_bytes = 0;
-    for (int i = 0; i < kSample; ++i) {
-      auto sub = client.MakeConfidentialTx(chain::NamedAddress("abs-0"),
-                                           "abs_transfer",
-                                           workloads::MakeAbsAssetFlat(&rng, i));
-      if (!sub.ok()) std::abort();
-      tx_bytes = std::max(tx_bytes, sub->tx.Serialize().size());
-      auto* engine = sys->confidential_engine();
-      // Time verify + execute together: both are CPU the pipeline must
-      // overlap with the commit wait. The block budget is sized so a
-      // block's CPU cost lands near *half* the commit latency: the wait
-      // is charged once per coalesced commit group, so the serial
-      // lifecycle pays it per block while the pipeline amortizes it —
-      // small blocks are exactly where group commit earns its keep.
-      total += TimeSeconds([&] {
-        (void)engine->PreVerify(sub->tx);
-        auto receipt = engine->Execute(sub->tx, sys->node()->state());
-        if (!receipt.ok() || !receipt->success) std::abort();
-      });
-    }
-    per_tx_secs = total / kSample;
-  }
-  size_t txs_per_block = std::clamp<size_t>(
-      size_t(double(kCommitLatencyNs) / 2e9 / std::max(per_tx_secs, 1e-6)), 2, 48);
-  size_t block_bytes = txs_per_block * (tx_bytes + 64);
-  constexpr int kBlocks = 16;
-  int tx_total = int(txs_per_block) * kBlocks;
-  std::printf("calibration: %.2f ms/tx, %zu B/tx -> %zu txs/block x %d blocks "
-              "(block budget %zu B)\n",
-              per_tx_secs * 1e3, tx_bytes, txs_per_block, kBlocks, block_bytes);
-
-  std::string serial_dir = MakeTempDir("serial");
-  std::string pipe_dir = MakeTempDir("pipe");
-  RealRun serial = RunRealWorkload(0, block_bytes, tx_total, serial_dir);
-  RealRun piped = RunRealWorkload(3, block_bytes, tx_total, pipe_dir);
-
-  double commit_secs =
-      std::max(0.0, serial.seconds - serial.preverify_seconds - serial.execute_seconds);
-  double bottleneck = std::max(
-      {serial.preverify_seconds, serial.execute_seconds, commit_secs});
-  double predicted = bottleneck > 0 ? serial.seconds / bottleneck : 1.0;
-  double measured = piped.seconds > 0 ? serial.seconds / piped.seconds : 0.0;
-
-  std::printf("\nserial   (depth 0): %7.1f ms  (%zu receipts, height %llu)\n",
-              serial.seconds * 1e3, serial.receipts,
-              (unsigned long long)serial.height);
-  std::printf("pipelined(depth 3): %7.1f ms  (%zu receipts, height %llu)\n",
-              piped.seconds * 1e3, piped.receipts,
-              (unsigned long long)piped.height);
-  std::printf("serial stage split: verify %.1f ms, execute %.1f ms, commit "
-              "%.1f ms\n",
-              serial.preverify_seconds * 1e3, serial.execute_seconds * 1e3,
-              commit_secs * 1e3);
-  std::printf("measured block-throughput speedup: %.2fx\n", measured);
-  std::printf("stage-makespan (LPT bound) prediction: %.2fx\n", predicted);
-
-  bool roots_equal = serial.state_root == piped.state_root;
-  bool heights_equal = serial.height == piped.height;
-  bool receipts_equal = serial.receipts == piped.receipts &&
-                        serial.receipts == size_t(tx_total);
-  std::printf("state roots identical: %s, heights identical: %s, receipts "
-              "complete: %s\n",
-              roots_equal ? "yes" : "NO", heights_equal ? "yes" : "NO",
-              receipts_equal ? "yes" : "NO");
-
-  bool ok = roots_equal && heights_equal && receipts_equal && measured >= 1.5;
-  std::printf("overall: %s (gate: speedup >= 1.50x, identical state)\n",
-              ok ? "PASS" : "MISMATCH");
-  confide::bench::DumpMetrics();
-  return ok ? 0 : 1;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--real-threads") == 0) return RunRealThreads();
-  }
-  return RunSimulated();
 }

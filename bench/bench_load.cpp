@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
   // Local throwaway bootstrap: same seed → same pk_tx as the cluster.
   core::SystemOptions sys_options;
   sys_options.seed = cfg.seed;
-  auto local = MustBootstrap(sys_options, /*honor_env=*/false);
+  auto local = MustBootstrap(sys_options);
   core::Client client(cfg.seed + 1000, local->pk_tx());
 
   net::HttpClient http = MustConnect(cfg.gateway);

@@ -25,21 +25,8 @@ inline double TimeSeconds(const std::function<void()>& fn) {
   return std::chrono::duration<double>(end - start).count();
 }
 
-/// CI knob: CONFIDE_PIPELINE_DEPTH overrides the block-pipeline depth of
-/// every benchmark system (0 = serial lifecycle). Returns `fallback` when
-/// the variable is unset or empty.
-inline uint32_t PipelineDepthFromEnv(uint32_t fallback) {
-  const char* env = std::getenv("CONFIDE_PIPELINE_DEPTH");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  return uint32_t(std::strtoul(env, nullptr, 10));
-}
-
 /// Bootstraps a single-node system with the given options; aborts on error.
-/// Honors CONFIDE_PIPELINE_DEPTH unless `honor_env` is false (benches that
-/// compare fixed depths against each other pass false).
-inline std::unique_ptr<core::ConfideSystem> MustBootstrap(core::SystemOptions options,
-                                                          bool honor_env = true) {
-  if (honor_env) options.pipeline_depth = PipelineDepthFromEnv(options.pipeline_depth);
+inline std::unique_ptr<core::ConfideSystem> MustBootstrap(core::SystemOptions options) {
   auto sys = core::ConfideSystem::BootstrapFirst(options);
   if (!sys.ok()) {
     std::fprintf(stderr, "bootstrap failed: %s\n", sys.status().ToString().c_str());

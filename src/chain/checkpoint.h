@@ -119,7 +119,7 @@ class ValidatorSet {
 
 /// \brief Per-node checkpoint producer + serving store.
 ///
-/// Thread-compatible with the node's block pipeline: MaybeCheckpoint is
+/// Thread-compatible with the node's block lifecycle: MaybeCheckpoint is
 /// called from whichever thread finalizes commits (never concurrently),
 /// and the read accessors take the manager mutex.
 class CheckpointManager {

@@ -1,11 +1,7 @@
 #include "chain/node.h"
 
 #include <atomic>
-#include <chrono>
-#include <optional>
-#include <thread>
 
-#include "common/bounded_queue.h"
 #include "common/endian.h"
 #include "common/fault.h"
 #include "common/metrics.h"
@@ -32,35 +28,6 @@ struct NodeMetrics {
   }
 };
 
-struct PipelineMetrics {
-  metrics::Histogram* preverify_latency =
-      metrics::GetHistogram("chain.pipeline.stage_latency.preverify_ns");
-  metrics::Histogram* execute_latency =
-      metrics::GetHistogram("chain.pipeline.stage_latency.execute_ns");
-  metrics::Histogram* commit_latency =
-      metrics::GetHistogram("chain.pipeline.stage_latency.commit_ns");
-  metrics::Gauge* verified_queue =
-      metrics::GetGauge("chain.pipeline.queue.verified");
-  metrics::Gauge* staged_queue = metrics::GetGauge("chain.pipeline.queue.staged");
-  metrics::Counter* blocks = metrics::GetCounter("chain.pipeline.block.count");
-  metrics::Counter* stalls = metrics::GetCounter("chain.pipeline.stall.count");
-  metrics::Histogram* commit_group_blocks = metrics::GetHistogram(
-      "chain.pipeline.commit_group.blocks", {1, 2, 3, 4, 6, 8, 12, 16});
-
-  static const PipelineMetrics& Get() {
-    static const PipelineMetrics instruments;
-    return instruments;
-  }
-};
-
-/// Wall-clock wait modelling the device-side block write (§6.4). Real
-/// blocking time — exactly what the commit stage overlaps with execution.
-void CommitWriteWait(uint64_t latency_ns) {
-  if (latency_ns > 0) {
-    std::this_thread::sleep_for(std::chrono::nanoseconds(latency_ns));
-  }
-}
-
 std::string ReceiptKey(const crypto::Hash256& tx_hash) {
   return "rcpt/" + HexEncode(crypto::HashView(tx_hash));
 }
@@ -69,52 +36,10 @@ std::string TxIndexKey(const crypto::Hash256& tx_hash) {
   return "txix/" + HexEncode(crypto::HashView(tx_hash));
 }
 
-/// The byte-budget packer behind ProposeBlock and pipeline stage 2: fills
-/// the block at `height` on `parent` up to `max_bytes` of transactions
-/// (always at least one when any is available) and computes its tx_root.
-/// `*carry`, when set, goes first; `next(&tx)` yields the rest and returns
-/// false once its source is empty. The first transaction that does not
-/// fit is left in `*carry` to open the next block.
-template <typename NextTx>
-Block PackBlock(uint64_t height, const crypto::Hash256& parent, size_t max_bytes,
-                std::optional<Transaction>* carry, NextTx&& next) {
-  Block block;
-  block.header.height = height;
-  block.header.parent_hash = parent;
-  block.header.timestamp_ns = height;  // deterministic
-  std::vector<Bytes> leaves;
-  size_t bytes = 0;
-  for (;;) {
-    Transaction tx;
-    if (carry->has_value()) {
-      tx = std::move(**carry);
-      carry->reset();
-    } else if (!next(&tx)) {
-      break;
-    }
-    Bytes wire = tx.Serialize();
-    if (!block.transactions.empty() && bytes + wire.size() > max_bytes) {
-      *carry = std::move(tx);
-      break;
-    }
-    bytes += wire.size();
-    leaves.push_back(std::move(wire));
-    block.transactions.push_back(std::move(tx));
-  }
-  block.header.tx_root = crypto::MerkleTree(leaves).Root();
-  return block;
-}
-
-}  // namespace
-
-namespace {
-
 /// Pool sizing: the calling thread always works inline, so parallel
-/// execution/pre-verification needs parallelism−1 helpers; the pipeline
-/// adds two long-running stage tasks (pre-verify, commit).
+/// execution/pre-verification needs parallelism−1 helpers.
 std::unique_ptr<ThreadPool> MakeNodePool(const NodeOptions& options) {
-  uint32_t workers = (std::max<uint32_t>(1, options.parallelism) - 1) +
-                     (options.pipeline_depth > 0 ? 2 : 0);
+  uint32_t workers = std::max<uint32_t>(1, options.parallelism) - 1;
   if (workers == 0) return nullptr;
   return std::make_unique<ThreadPool>(workers);
 }
@@ -273,19 +198,27 @@ Result<size_t> Node::PreVerify() {
 }
 
 Result<Block> Node::ProposeBlock() {
-  std::optional<Transaction> carry;
-  Block block = PackBlock(blocks_->NextHeight(), last_block_hash_,
-                          options_.block_max_bytes, &carry,
-                          [this](Transaction* tx) {
-                            std::lock_guard<std::mutex> lock(pool_mutex_);
-                            if (verified_.empty()) return false;
-                            *tx = std::move(verified_.front());
-                            verified_.pop_front();
-                            return true;
-                          });
-  std::lock_guard<std::mutex> lock(pool_mutex_);
-  if (carry.has_value()) verified_.push_front(std::move(*carry));
-  NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
+  Block block;
+  block.header.height = blocks_->NextHeight();
+  block.header.parent_hash = last_block_hash_;
+  block.header.timestamp_ns = block.header.height;  // deterministic
+  std::vector<Bytes> leaves;
+  {
+    // Fill up to block_max_bytes, always taking at least one transaction;
+    // the first that does not fit stays in the pool to open the next block.
+    std::lock_guard<std::mutex> lock(pool_mutex_);
+    size_t bytes = 0;
+    while (!verified_.empty()) {
+      Bytes wire = verified_.front().Serialize();
+      if (!leaves.empty() && bytes + wire.size() > options_.block_max_bytes) break;
+      bytes += wire.size();
+      leaves.push_back(std::move(wire));
+      block.transactions.push_back(std::move(verified_.front()));
+      verified_.pop_front();
+    }
+    NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
+  }
+  block.header.tx_root = crypto::MerkleTree(leaves).Root();
   return block;
 }
 
@@ -363,11 +296,8 @@ Status Node::CommitGroup(std::vector<StagedBlock>* group, size_t* committed) {
     NodeMetrics::Get().txs_per_block->Observe(double(txs));
     ++*committed;
   }
-  // One device write + fsync covers the whole group (group commit):
-  // consecutive blocks' batches share a single ~6 ms SSD flush, and the
-  // WAL counts the coalesced appends under
-  // storage.wal.group_commit.batched.
-  CommitWriteWait(options_.commit_write_latency_ns);
+  // One fsync covers the whole group (group commit); the WAL counts the
+  // coalesced appends under storage.wal.group_commit.batched.
   return options_.sync_commits ? kv_->Sync() : Status::OK();
 }
 
@@ -400,259 +330,24 @@ Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
   return std::move(group[0].receipts);
 }
 
-Result<std::vector<Receipt>> Node::RunPipelined() {
-  if (options_.pipeline_depth == 0 || pool_ == nullptr) {
-    // The gate defaults to the old strictly serial lifecycle.
-    std::vector<Receipt> all;
-    for (;;) {
-      CONFIDE_RETURN_NOT_OK(PreVerify().status());
-      if (VerifiedPoolSize() == 0) break;
-      CONFIDE_ASSIGN_OR_RETURN(Block block, ProposeBlock());
-      if (block.transactions.empty()) break;
-      CONFIDE_ASSIGN_OR_RETURN(std::vector<Receipt> receipts, ApplyBlock(block));
-      for (Receipt& receipt : receipts) all.push_back(std::move(receipt));
+Result<std::vector<Receipt>> Node::RunToCompletion() {
+  std::vector<Receipt> all;
+  for (;;) {
+    CONFIDE_RETURN_NOT_OK(PreVerify().status());
+    CONFIDE_ASSIGN_OR_RETURN(Block block, ProposeBlock());
+    if (block.transactions.empty()) return all;
+    const uint64_t height = Height();
+    auto receipts = ApplyBlock(block);
+    if (!receipts.ok()) {
+      // A block that did not land goes back to the pool, so a retry
+      // commits the same transactions in the same order. One whose batch
+      // landed (only the fsync failed) is final: requeueing it would
+      // execute its signed transactions twice.
+      if (Height() == height) RequeueVerified(std::move(block.transactions));
+      return receipts.status();
     }
-    return all;
+    for (Receipt& receipt : *receipts) all.push_back(std::move(receipt));
   }
-
-  const uint32_t depth = options_.pipeline_depth;
-  const PipelineMetrics& pm = PipelineMetrics::Get();
-
-  // Transactions a previous failed run returned to the verified pool
-  // re-enter the stream ahead of everything newer — stage 1 only feeds
-  // from the unverified pool, so without this they would be stranded
-  // (re-verification is cheap and keeps a single stage-1 source).
-  {
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    for (auto it = verified_.rbegin(); it != verified_.rend(); ++it) {
-      unverified_.push_front(std::move(*it));
-    }
-    verified_.clear();
-    NodeMetrics::Get().verified_pool->Set(0);
-    NodeMetrics::Get().unverified_pool->Set(int64_t(unverified_.size()));
-  }
-
-  BoundedQueue<Transaction> verified_queue(size_t(depth) * 64);
-  BoundedQueue<StagedBlock> staged_queue(depth);
-
-  std::atomic<bool> failed{false};
-  std::mutex error_mu;
-  Status error = Status::OK();
-  auto fail = [&](Status status) {
-    {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (error.ok()) error = std::move(status);
-    }
-    failed.store(true);
-    verified_queue.Close();
-    staged_queue.Close();
-  };
-
-  // Transactions stranded by a failed commit group; re-queued at unwind.
-  std::mutex aborted_mu;
-  std::deque<Transaction> aborted_txs;
-
-  // --- Stage 1: batched pre-verification (pool task) ---------------------
-  std::future<void> stage1 = pool_->Submit([&] {
-    try {
-      for (;;) {
-        if (failed.load()) break;
-        std::deque<Transaction> pending;
-        {
-          std::lock_guard<std::mutex> lock(pool_mutex_);
-          pending.swap(unverified_);
-          NodeMetrics::Get().unverified_pool->Set(0);
-        }
-        if (pending.empty()) break;
-        if (fault::FaultInjector::Global().ShouldFail(
-                "fault.chain.pipeline.preverify")) {
-          // Return the whole batch: an injected verifier outage must not
-          // drop transactions.
-          std::lock_guard<std::mutex> lock(pool_mutex_);
-          for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-            unverified_.push_front(std::move(*it));
-          }
-          fail(Status::Unavailable("pipeline: injected pre-verify failure"));
-          break;
-        }
-        // Verify in small chunks, not the whole swap: downstream stages
-        // start on the first chunk while later ones are still in the
-        // verifier, which is where the verify/execute overlap comes from.
-        constexpr size_t kPreVerifyChunk = 16;
-        bool closed = false;
-        while (!pending.empty() && !closed) {
-          metrics::ScopedLatencyTimer timer(pm.preverify_latency);
-          size_t n = std::min<size_t>(kPreVerifyChunk, pending.size());
-          std::vector<Transaction> txs(
-              std::make_move_iterator(pending.begin()),
-              std::make_move_iterator(pending.begin() + ptrdiff_t(n)));
-          pending.erase(pending.begin(), pending.begin() + ptrdiff_t(n));
-          std::vector<uint8_t> valid(txs.size(), 0);
-          PreVerifyBatch(&txs, &valid);
-          for (size_t i = 0; i < txs.size(); ++i) {
-            if (!valid[i]) continue;
-            if (!verified_queue.Push(&txs[i])) {
-              // Shutdown mid-batch: return the unconsumed tail — verified
-              // remainder of this chunk first, then the unverified rest.
-              std::lock_guard<std::mutex> lock(pool_mutex_);
-              for (auto it = pending.rbegin(); it != pending.rend(); ++it) {
-                unverified_.push_front(std::move(*it));
-              }
-              for (size_t j = txs.size(); j-- > i;) {
-                if (valid[j]) unverified_.push_front(std::move(txs[j]));
-              }
-              closed = true;
-              break;
-            }
-            pm.verified_queue->Set(int64_t(verified_queue.Size()));
-          }
-        }
-        if (closed) break;
-      }
-    } catch (...) {
-      fail(Status::Internal("pipeline: pre-verify stage threw"));
-    }
-    verified_queue.Close();
-  });
-
-  // --- Stage 3: the commit step, one group at a time (pool task) ---------
-  std::vector<Receipt> committed_receipts;
-  std::future<void> stage3 = pool_->Submit([&] {
-    try {
-      for (;;) {
-        StagedBlock next;
-        if (!staged_queue.Pop(&next)) break;
-        // Drain whatever else is already staged: these blocks commit as
-        // one group and their WAL records share a single fsync.
-        std::vector<StagedBlock> group;
-        do {
-          group.push_back(std::move(next));
-        } while (group.size() < depth && staged_queue.TryPop(&next));
-        pm.staged_queue->Set(int64_t(staged_queue.Size()));
-        metrics::ScopedLatencyTimer timer(pm.commit_latency);
-        size_t committed = 0;
-        Status status =
-            fault::FaultInjector::Global().ShouldFail("fault.chain.pipeline.commit")
-                ? Status::Unavailable("pipeline: injected commit failure")
-                : CommitGroup(&group, &committed);
-        pm.blocks->Increment(committed);
-        for (size_t b = 0; b < group.size(); ++b) {
-          if (b < committed) {
-            for (Receipt& receipt : group[b].receipts) {
-              committed_receipts.push_back(std::move(receipt));
-            }
-          } else {
-            std::lock_guard<std::mutex> lock(aborted_mu);
-            for (Transaction& tx : group[b].block.transactions) {
-              aborted_txs.push_back(std::move(tx));
-            }
-          }
-        }
-        if (!status.ok()) {
-          fail(status);
-          break;
-        }
-        pm.commit_group_blocks->Observe(double(group.size()));
-      }
-    } catch (...) {
-      fail(Status::Internal("pipeline: commit stage threw"));
-    }
-  });
-
-  // --- Stage 2: pack + the execute/stage step (this thread) --------------
-  // Serial across blocks by construction: block N+1's header chains to
-  // block N's state/receipt roots, so proposal cannot overlap execution
-  // of the same stream — but it overlaps stage 1 and stage 3 freely.
-  uint64_t height = blocks_->NextStagedHeight();
-  crypto::Hash256 parent = last_block_hash_;
-  std::optional<Transaction> carry;
-  std::vector<Transaction> failed_block_txs;
-  Status stage2_status = Status::OK();
-
-  while (!failed.load()) {
-    StagedBlock staged;
-    staged.block = PackBlock(height, parent, options_.block_max_bytes, &carry,
-                             [&](Transaction* tx) {
-                               // false: stage 1 finished and the queue drained
-                               if (!verified_queue.Pop(tx)) return false;
-                               pm.verified_queue->Set(int64_t(verified_queue.Size()));
-                               return true;
-                             });
-    if (staged.block.transactions.empty()) break;  // pools drained
-
-    uint64_t stall_ns = 0;
-    if (fault::FaultInjector::Global().ShouldFail("fault.chain.pipeline.stall",
-                                                  &stall_ns)) {
-      // A stall is a delay, not a corruption: the pipeline must absorb it
-      // (backpressure) without reordering or dropping anything.
-      pm.stalls->Increment();
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(stall_ns > 0 ? stall_ns : 1'000'000));
-      fault::NoteRecovered("fault.chain.pipeline.stall");
-    }
-    if (fault::FaultInjector::Global().ShouldFail(
-            "fault.chain.pipeline.execute")) {
-      stage2_status = Status::Unavailable("pipeline: injected execute failure");
-    } else {
-      metrics::ScopedLatencyTimer timer(pm.execute_latency);
-      stage2_status = ExecuteAndStage(&staged);
-    }
-    if (!stage2_status.ok()) {
-      failed_block_txs = std::move(staged.block.transactions);
-      break;
-    }
-    parent = staged.block_hash;
-    ++height;
-    if (!staged_queue.Push(&staged)) {
-      // Commit stage failed and closed the queue; this block never commits.
-      failed_block_txs = std::move(staged.block.transactions);
-      break;
-    }
-    pm.staged_queue->Set(int64_t(staged_queue.Size()));
-  }
-  if (!stage2_status.ok()) fail(stage2_status);
-  staged_queue.Close();   // lets stage 3 drain what was validly staged
-  verified_queue.Close();  // stops stage 1 if it is still producing
-
-  stage3.get();
-  stage1.get();
-
-  // The committed prefix is final; everything staged past it unwinds.
-  state_->RollbackPending();
-  blocks_->RollbackStaged();
-
-  if (failed.load()) {
-    // Re-queue every transaction that reached the pipeline but did not
-    // commit, oldest first, so a retry replays them in order:
-    // commit-stage casualties precede still-staged blocks, which precede
-    // the block that failed in stage 2, the carry-over, and the verified
-    // backlog.
-    std::deque<Transaction> requeue;
-    {
-      std::lock_guard<std::mutex> lock(aborted_mu);
-      for (Transaction& tx : aborted_txs) requeue.push_back(std::move(tx));
-    }
-    StagedBlock orphan;
-    while (staged_queue.TryPop(&orphan)) {
-      for (Transaction& tx : orphan.block.transactions) {
-        requeue.push_back(std::move(tx));
-      }
-    }
-    for (Transaction& tx : failed_block_txs) requeue.push_back(std::move(tx));
-    if (carry.has_value()) requeue.push_back(std::move(*carry));
-    Transaction leftover;
-    while (verified_queue.TryPop(&leftover)) requeue.push_back(std::move(leftover));
-    {
-      std::lock_guard<std::mutex> lock(pool_mutex_);
-      for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-        verified_.push_front(std::move(*it));
-      }
-      NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
-    }
-    std::lock_guard<std::mutex> lock(error_mu);
-    return error;
-  }
-  return committed_receipts;
 }
 
 Result<Receipt> Node::GetReceipt(const crypto::Hash256& tx_hash) const {

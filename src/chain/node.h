@@ -27,19 +27,9 @@ struct NodeOptions {
   SimClock* clock = nullptr;
   /// Directory for the state-store WAL; empty = volatile state.
   std::string state_wal_dir;
-  /// Blocks allowed in flight between the execute and commit stages of
-  /// RunPipelined(). 0 = the old strictly serial lifecycle.
-  uint32_t pipeline_depth = 0;
   /// fsync the store once per commit group (group commit): consecutive
   /// blocks' log records coalesce into one device flush.
   bool sync_commits = false;
-  /// Real (wall-clock) commit latency, modelling the paper's ~6 ms
-  /// cloud-SSD block write (§6.4) as actual blocking time the pipeline
-  /// can overlap with execution. Charged once per commit group — one
-  /// coalesced device flush covers consecutive blocks under group
-  /// commit, so the serial lifecycle pays it per block while the
-  /// pipeline pays it per group. 0 = no modelled wait.
-  uint64_t commit_write_latency_ns = 0;
   /// Stable-checkpoint production (checkpoint.h). interval == 0 disables.
   CheckpointOptions checkpoint;
   /// Consortium validator set that certifies checkpoints; required when
@@ -101,20 +91,14 @@ class Node {
   /// second time.
   Result<std::vector<Receipt>> ApplyBlock(const Block& block);
 
-  /// \brief Drains the transaction pools through the three-stage block
-  /// pipeline: stage 1 batch-pre-verifies on the shared pool, stage 2
-  /// (this thread) packs blocks and runs the execute/stage step, stage 3
-  /// runs the commit step, one WAL fsync per commit group — the same two
-  /// steps ApplyBlock runs, under the same commit rule. Block N+1
-  /// pre-verifies while block N executes and block N−1 commits; bounded
-  /// queues (capacity `pipeline_depth`) provide backpressure. Every
-  /// block still lands as one atomic WriteBatch. On failure the chain
-  /// stops at the last durably committed block (staged state and
-  /// appends roll back; unprocessed transactions return to the pools)
-  /// and the error is returned. With pipeline_depth == 0 this is the
-  /// serial PreVerify/ProposeBlock/ApplyBlock loop. Returns receipts in
-  /// block order.
-  Result<std::vector<Receipt>> RunPipelined();
+  /// \brief Drains the transaction pools one block at a time: PreVerify,
+  /// ProposeBlock, ApplyBlock — the same three calls the cluster leader
+  /// makes per round. Returns the receipts in block order. On failure
+  /// the error is returned and the commit rule decides who owns the
+  /// failed block's transactions: a block that did not land returns
+  /// them to the verified pool for a retry; a block whose batch landed
+  /// (only the fsync failed) is final, so they are never queued again.
+  Result<std::vector<Receipt>> RunToCompletion();
 
   /// \brief Fetches a stored receipt by transaction hash.
   Result<Receipt> GetReceipt(const crypto::Hash256& tx_hash) const;
@@ -158,8 +142,7 @@ class Node {
   /// staged state, stores its receipts, sets its receipt and state roots,
   /// and stages receipts, tx index, state writes and block body into
   /// `staged->batch`. Writes nothing. On failure the caller unwinds the
-  /// staged state (RollbackPending/RollbackStaged) once nothing in
-  /// flight still needs it.
+  /// staged state (RollbackPending/RollbackStaged).
   Status ExecuteAndStage(StagedBlock* staged);
 
   /// \brief The commit step: writes each staged block's batch in order and

@@ -16,8 +16,8 @@ Result<Bytes> CommitStateDb::Get(const Address& contract, ByteView key) const {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = overlay_.find(full_key);
     if (it != overlay_.end()) return it->second;
-    // Staged-but-not-yet-durable writes, newest generation first: the
-    // pipeline executes block N+1 against block N's staged state.
+    // Staged-but-not-yet-durable writes, newest generation first: a
+    // commit group executes block N+1 against block N's staged state.
     for (auto gen = pending_.rbegin(); gen != pending_.rend(); ++gen) {
       auto hit = gen->values.find(full_key);
       if (hit != gen->values.end()) return hit->second;

@@ -54,13 +54,13 @@ class StateDb {
 
 /// \brief Canonical node state over a KvStore.
 ///
-/// Supports the pipelined block lifecycle with *staged generations*: each
+/// Supports group commit with *staged generations*: each
 /// StageCommit moves the buffered overlay into a pending generation that
 /// stays readable (block N+1 executes against block N's staged-but-not-
 /// yet-durable writes) until the matching FinalizeCommit — called in
 /// stage order once the generation's batch landed — folds it into the
 /// durable root, or RollbackPending() drops every in-flight generation
-/// after a commit failure. The serial path is the depth-1 special case.
+/// after a commit failure. ApplyBlock is the group-of-one case.
 class CommitStateDb : public StateDb {
  public:
   explicit CommitStateDb(std::shared_ptr<storage::KvStore> kv) : kv_(std::move(kv)) {}
@@ -90,7 +90,7 @@ class CommitStateDb : public StateDb {
 
   /// \brief Drops every staged-but-unfinalized generation and the overlay;
   /// visible state reverts to the durable root. The unwind path when a
-  /// pipelined commit fails downstream of StageCommit.
+  /// commit fails downstream of StageCommit.
   void RollbackPending();
 
   /// \brief Staged-but-unfinalized generations (tests).

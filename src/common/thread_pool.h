@@ -1,19 +1,19 @@
 /// \file thread_pool.h
-/// \brief Reusable work-stealing thread pool shared by the block pipeline
-/// and the parallel executor/pre-verifier (replaces the per-block
-/// `std::vector<std::thread>` spawns).
+/// \brief Reusable work-stealing thread pool shared by a node's parallel
+/// executor and pre-verifier (`RunOnWorkers`) and its background LSM
+/// compactions (`Submit`); replaces the per-block
+/// `std::vector<std::thread>` spawns.
 ///
 /// Each worker owns a deque: the owner pops from the front, idle workers
 /// steal from the back of their neighbours. Submissions round-robin
-/// across the deques so independent long-running tasks (pipeline stages)
+/// across the deques so independent long-running tasks (a compaction)
 /// spread out while short helper tasks stay stealable.
 ///
 /// Deadlock freedom: `RunOnWorkers` always runs the function inline on
 /// the calling thread in addition to the pool helpers, and only waits
 /// for helpers that actually *started*. A fully saturated pool therefore
 /// degrades to inline execution instead of blocking — safe to call from
-/// inside a pool task (the pipeline's pre-verify stage does exactly
-/// that).
+/// inside a pool task.
 
 #pragma once
 

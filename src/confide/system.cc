@@ -83,9 +83,7 @@ Status ConfideSystem::FinishBootstrap() {
   node_options.block_max_bytes = options_.block_max_bytes;
   node_options.clock = &clock_;
   node_options.state_wal_dir = options_.state_wal_dir;
-  node_options.pipeline_depth = options_.pipeline_depth;
   node_options.sync_commits = options_.sync_commits;
-  node_options.commit_write_latency_ns = options_.commit_write_latency_ns;
   node_options.checkpoint = options_.checkpoint;
   node_options.validators = options_.validators;
   chain::EngineSet engines;
@@ -320,7 +318,7 @@ Result<chain::SyncStats> ConfideSystem::SyncFromPeers(
 
 Result<std::vector<chain::Receipt>> ConfideSystem::RunToCompletion() {
   CONFIDE_ASSIGN_OR_RETURN(std::vector<chain::Receipt> receipts,
-                           node_->RunPipelined());
+                           node_->RunToCompletion());
   // Cover the advanced tip under a new sealed freshness generation
   // (no-op when state continuity is off).
   if (!receipts.empty()) CONFIDE_RETURN_NOT_OK(SealStateGeneration());

@@ -41,13 +41,8 @@ struct SystemOptions {
   uint64_t recover_backoff_ns = 1'000'000;
   /// Directory for the node state WAL; empty = volatile state store.
   std::string state_wal_dir;
-  /// Blocks in flight between the node's execute and commit stages;
-  /// 0 = serial lifecycle (see chain::NodeOptions::pipeline_depth).
-  uint32_t pipeline_depth = 0;
   /// fsync once per commit group (WAL group commit).
   bool sync_commits = false;
-  /// Real per-block commit wait modelling the ~6 ms cloud-SSD write.
-  uint64_t commit_write_latency_ns = 0;
   /// Stable-checkpoint production (chain::CheckpointOptions); the interval
   /// of 0 disables checkpointing.
   chain::CheckpointOptions checkpoint;
@@ -97,8 +92,8 @@ class ConfideSystem {
   tee::EnclaveId km_enclave_id() const { return km_id_; }
   bool km_alive() const { return km_alive_; }
 
-  /// \brief Drains the pools through Node::RunPipelined (the serial loop
-  /// at pipeline_depth 0), then seals the new tip's freshness generation.
+  /// \brief Drains the pools through Node::RunToCompletion, then seals the
+  /// new tip's freshness generation.
   /// Convenience for tests/examples; returns total receipts.
   Result<std::vector<chain::Receipt>> RunToCompletion();
 

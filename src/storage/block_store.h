@@ -35,7 +35,7 @@ class BlockStore {
 
   /// \brief Stages an append into `batch` (height check + SSD latency
   /// model) without writing, and advances the *staged* height cursor so
-  /// the pipeline can stage block N+1 before block N's batch lands; call
+  /// a commit group can stage block N+1 before block N's batch lands; call
   /// FinalizeAppend() once the batch has been durably written, or
   /// RollbackStaged() to abandon every staged-but-unwritten append. Lets
   /// the node commit block data atomically with state and receipts.
@@ -47,8 +47,7 @@ class BlockStore {
   void FinalizeAppend();
 
   /// \brief Drops staged-but-unfinalized appends; the staged cursor
-  /// rewinds to the durable height (pipeline unwind after a failed
-  /// commit).
+  /// rewinds to the durable height (unwind after a failed commit).
   void RollbackStaged();
 
   Result<Bytes> GetByHeight(uint64_t height) const;

@@ -588,93 +588,26 @@ TEST_F(NodeTest, SpvProofRoundTrip) {
 }
 
 
-// ---------------------------------------------------------------------------
-// Pipelined block lifecycle
-// ---------------------------------------------------------------------------
+TEST_F(NodeTest, RunToCompletionDrainsThePoolsBlockByBlock) {
+  auto empty = node_.RunToCompletion();
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
+  EXPECT_EQ(node_.Height(), 0u);
 
-TEST(PipelineTest, PipelinedMatchesSerialLifecycle) {
-  // Two nodes, identical submissions; one runs the serial
-  // verify/propose/apply loop, the other the three-stage pipeline. The
-  // resulting chains must be bit-identical.
-  ScriptEngine serial_engine, piped_engine;
-  EngineSet serial_engines{&serial_engine, &serial_engine};
-  EngineSet piped_engines{&piped_engine, &piped_engine};
-
-  NodeOptions serial_options;
-  serial_options.block_max_bytes = 512;  // force several blocks
-  NodeOptions piped_options = serial_options;
-  piped_options.parallelism = 2;
-  piped_options.pipeline_depth = 3;
-
-  auto serial_node = Node::Create(serial_options, serial_engines);
-  auto piped_node = Node::Create(piped_options, piped_engines);
-  ASSERT_TRUE(serial_node.ok() && piped_node.ok());
-
-  crypto::Drbg rng_a(77), rng_b(77);  // identical tx streams
-  for (int i = 0; i < 24; ++i) {
-    std::string target = "ctr-" + std::to_string(i % 5);
-    Transaction tx_a = MakeSignedTx(&rng_a, NamedAddress("c"), "bump", ToBytes(target));
-    Transaction tx_b = MakeSignedTx(&rng_b, NamedAddress("c"), "bump", ToBytes(target));
-    ASSERT_EQ(tx_a.Hash(), tx_b.Hash());
-    ASSERT_TRUE((*serial_node)->SubmitTransaction(tx_a).ok());
-    ASSERT_TRUE((*piped_node)->SubmitTransaction(tx_b).ok());
-  }
-
-  std::vector<Receipt> serial_receipts;
-  ASSERT_TRUE((*serial_node)->PreVerify().ok());
-  while ((*serial_node)->VerifiedPoolSize() > 0) {
-    auto block = (*serial_node)->ProposeBlock();
-    ASSERT_TRUE(block.ok());
-    auto receipts = (*serial_node)->ApplyBlock(*block);
-    ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
-    for (Receipt& r : *receipts) serial_receipts.push_back(std::move(r));
-  }
-
-  auto piped_receipts = (*piped_node)->RunPipelined();
-  ASSERT_TRUE(piped_receipts.ok()) << piped_receipts.status().ToString();
-
-  EXPECT_GT((*serial_node)->Height(), 1u);  // several blocks, not one
-  EXPECT_EQ((*serial_node)->Height(), (*piped_node)->Height());
-  EXPECT_EQ((*serial_node)->state()->StateRoot(),
-            (*piped_node)->state()->StateRoot());
-  ASSERT_EQ(serial_receipts.size(), piped_receipts->size());
-  for (size_t i = 0; i < serial_receipts.size(); ++i) {
-    EXPECT_EQ(serial_receipts[i].tx_hash, (*piped_receipts)[i].tx_hash);
-    EXPECT_EQ(serial_receipts[i].success, (*piped_receipts)[i].success);
-  }
-}
-
-TEST(PipelineTest, DepthZeroFallsBackToSerialLoop) {
-  ScriptEngine engine;
-  EngineSet engines{&engine, &engine};
-  NodeOptions options;  // pipeline_depth = 0
-  auto node = Node::Create(options, engines);
-  ASSERT_TRUE(node.ok());
-  crypto::Drbg rng(9);
+  std::vector<Transaction> txs;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*node)
-                    ->SubmitTransaction(MakeSignedTx(&rng, NamedAddress("c"), "write",
-                                                     ToBytes("k" + std::to_string(i))))
-                    .ok());
+    txs.push_back(MakeSignedTx(&rng_, NamedAddress("c"), "write",
+                               ToBytes("k" + std::to_string(i))));
+    ASSERT_TRUE(node_.SubmitTransaction(txs.back()).ok());
   }
-  auto receipts = (*node)->RunPipelined();
-  ASSERT_TRUE(receipts.ok());
-  EXPECT_EQ(receipts->size(), 3u);
-  EXPECT_EQ((*node)->Height(), 1u);
-}
-
-TEST(PipelineTest, EmptyPoolReturnsNoReceipts) {
-  ScriptEngine engine;
-  EngineSet engines{&engine, &engine};
-  NodeOptions options;
-  options.pipeline_depth = 2;
-  options.parallelism = 2;
-  auto node = Node::Create(options, engines);
-  ASSERT_TRUE(node.ok());
-  auto receipts = (*node)->RunPipelined();
-  ASSERT_TRUE(receipts.ok());
-  EXPECT_TRUE(receipts->empty());
-  EXPECT_EQ((*node)->Height(), 0u);
+  auto receipts = node_.RunToCompletion();
+  ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
+  ASSERT_EQ(receipts->size(), txs.size());
+  for (size_t i = 0; i < txs.size(); ++i) {
+    EXPECT_EQ((*receipts)[i].tx_hash, txs[i].Hash());
+  }
+  EXPECT_EQ(node_.Height(), 1u);  // 4 KB blocks: all three fit in one
+  EXPECT_EQ(node_.UnverifiedPoolSize() + node_.VerifiedPoolSize(), 0u);
 }
 
 

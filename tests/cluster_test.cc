@@ -74,19 +74,15 @@ Bytes CounterCode() {
   return *code;
 }
 
-SystemOptions ClusterSystemOptions(size_t block_max_bytes = 64 * 1024,
-                                   uint32_t pipeline_depth = 0) {
+SystemOptions ClusterSystemOptions(size_t block_max_bytes = 64 * 1024) {
   SystemOptions options;
   options.seed = kClusterSeed;
   options.block_max_bytes = block_max_bytes;
-  options.pipeline_depth = pipeline_depth;
-  options.parallelism = pipeline_depth > 0 ? 2 : 1;
   return options;
 }
 
-std::unique_ptr<ConfideSystem> MakeSystem(size_t block_max_bytes = 64 * 1024,
-                                          uint32_t pipeline_depth = 0) {
-  auto sys = ConfideSystem::BootstrapFirst(ClusterSystemOptions(block_max_bytes, pipeline_depth));
+std::unique_ptr<ConfideSystem> MakeSystem(size_t block_max_bytes = 64 * 1024) {
+  auto sys = ConfideSystem::BootstrapFirst(ClusterSystemOptions(block_max_bytes));
   EXPECT_TRUE(sys.ok()) << sys.status().ToString();
   return std::move(*sys);
 }
@@ -413,19 +409,17 @@ TEST(SimRoundTimingTest, MessagesGrowQuadraticallyLatencySubLinearly) {
 }
 
 // ---------------------------------------------------------------------------
-// One block lifecycle, three drivers
+// One block lifecycle, two drivers
 // ---------------------------------------------------------------------------
 
-TEST(LifecycleDriversTest, SerialPipelinedAndClusterProduceTheSameChain) {
-  // The serial loop, the depth-3 pipeline and a 4-node PBFT cluster all
-  // drive the same execute/stage and commit steps, so one signed tx set
-  // must produce byte-identical chains under each.
+TEST(LifecycleDriversTest, SerialAndClusterProduceTheSameChain) {
+  // The in-process drain (Node::RunToCompletion) and a 4-node PBFT
+  // cluster make the same PreVerify/ProposeBlock/ApplyBlock calls, so one
+  // signed tx set must produce byte-identical chains under each.
   constexpr size_t kBlockBytes = 4096;  // several blocks per phase
-  auto serial = MakeSystem(kBlockBytes, /*pipeline_depth=*/0);
-  auto piped = MakeSystem(kBlockBytes, /*pipeline_depth=*/3);
+  auto serial = MakeSystem(kBlockBytes);
   SimViewCluster cluster(4, kBlockBytes);
   ASSERT_NE(serial, nullptr);
-  ASSERT_NE(piped, nullptr);
 
   Client client(99, serial->pk_tx());
   const Bytes code = CounterCode();
@@ -448,15 +442,11 @@ TEST(LifecycleDriversTest, SerialPipelinedAndClusterProduceTheSameChain) {
   for (const auto& phase : phases) {
     for (const chain::Transaction& tx : phase) {
       ASSERT_TRUE(serial->node()->SubmitTransaction(tx).ok());
-      ASSERT_TRUE(piped->node()->SubmitTransaction(tx).ok());
       ASSERT_TRUE(leader->SubmitTransaction(tx).ok());
     }
-    auto serial_receipts = serial->node()->RunPipelined();
+    auto serial_receipts = serial->node()->RunToCompletion();
     ASSERT_TRUE(serial_receipts.ok()) << serial_receipts.status().ToString();
     ASSERT_EQ(serial_receipts->size(), phase.size());
-    auto piped_receipts = piped->node()->RunPipelined();
-    ASSERT_TRUE(piped_receipts.ok()) << piped_receipts.status().ToString();
-    ASSERT_EQ(piped_receipts->size(), phase.size());
     for (;;) {  // propose until the leader's pools are empty
       auto seq = cluster.nodes[0]->ProposeOnce();
       if (!seq.ok()) {
@@ -468,7 +458,7 @@ TEST(LifecycleDriversTest, SerialPipelinedAndClusterProduceTheSameChain) {
   }
 
   EXPECT_GT(serial->node()->Height(), 2u);  // several blocks, not one per phase
-  std::vector<chain::Node*> others = {piped->node()};
+  std::vector<chain::Node*> others;
   for (auto& sys : cluster.systems) others.push_back(sys->node());
   for (size_t n = 0; n < others.size(); ++n) {
     EXPECT_EQ(others[n]->Height(), serial->node()->Height()) << "driver " << n;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/arena.h"
-#include "common/bounded_queue.h"
 #include "common/bytes.h"
 #include "common/lru.h"
 #include "common/retry.h"
@@ -285,9 +284,8 @@ TEST(ThreadPoolTest, RunOnWorkersPropagatesInlineException) {
 }
 
 TEST(ThreadPoolTest, NestedRunOnWorkersDoesNotDeadlock) {
-  // A pool task may itself fan out on the same pool (the executor does
-  // this when called from a pipeline stage): saturated helpers degrade
-  // to inline execution instead of waiting for a free worker.
+  // A pool task may itself fan out on the same pool: saturated helpers
+  // degrade to inline execution instead of waiting for a free worker.
   ThreadPool pool(2);
   std::atomic<int> inner{0};
   pool.Submit([&] {
@@ -296,62 +294,6 @@ TEST(ThreadPoolTest, NestedRunOnWorkersDoesNotDeadlock) {
       .get();
   EXPECT_GE(inner.load(), 1);
 }
-
-TEST(BoundedQueueTest, PushPopInOrder) {
-  BoundedQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    EXPECT_TRUE(q.Push(&v));
-  }
-  EXPECT_EQ(q.Size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int out = -1;
-    EXPECT_TRUE(q.Pop(&out));
-    EXPECT_EQ(out, i);
-  }
-}
-
-TEST(BoundedQueueTest, PushBlocksUntilPopAtCapacity) {
-  BoundedQueue<int> q(1);
-  int first = 1;
-  ASSERT_TRUE(q.Push(&first));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    int second = 2;
-    q.Push(&second);
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(pushed.load());  // still blocked on the full queue
-  int out = 0;
-  EXPECT_TRUE(q.Pop(&out));
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_TRUE(q.Pop(&out));
-  EXPECT_EQ(out, 2);
-}
-
-TEST(BoundedQueueTest, CloseDrainsRemainingItemsFirst) {
-  BoundedQueue<int> q(4);
-  int v = 7;
-  ASSERT_TRUE(q.Push(&v));
-  q.Close();
-  int out = 0;
-  EXPECT_TRUE(q.Pop(&out));  // queued item still delivered
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(q.Pop(&out));  // closed and drained
-}
-
-TEST(BoundedQueueTest, PushOnClosedQueueLeavesItemIntact) {
-  BoundedQueue<std::string> q(2);
-  q.Close();
-  std::string item = "keep-me";
-  EXPECT_FALSE(q.Push(&item));
-  // The pipeline unwind re-queues rejected items, so Push must not have
-  // moved from it.
-  EXPECT_EQ(item, "keep-me");
-}
-
 
 // ---------------------------------------------------------------------------
 // RetryPolicy

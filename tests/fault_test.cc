@@ -408,11 +408,6 @@ Bytes DeployPayload(const Bytes& code) {
 class EnclaveRecoveryTest : public ::testing::Test {
  protected:
   std::unique_ptr<ConfideSystem> Boot(SystemOptions options) {
-    // CI chaos matrix: re-run the recovery suite under the pipelined
-    // block lifecycle as well. Tests that pin a depth bypass this helper.
-    if (const char* s = std::getenv("CONFIDE_PIPELINE_DEPTH")) {
-      options.pipeline_depth = uint32_t(std::strtoul(s, nullptr, 10));
-    }
     auto sys = ConfideSystem::BootstrapFirst(options);
     EXPECT_TRUE(sys.ok()) << sys.status().ToString();
     return std::move(*sys);
@@ -800,16 +795,14 @@ TEST(NodeChaosTest, FsyncFailureAfterLandedBatchNeverReExecutesTheBlock) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(NodeChaosTest, PipelineCommitCrashRecoversToPrefixConsistentState) {
-  auto dir = std::filesystem::temp_directory_path() / "confide_chaos_pipeline";
+TEST(NodeChaosTest, DrainCrashRecoversToPrefixConsistentState) {
+  auto dir = std::filesystem::temp_directory_path() / "confide_chaos_drain";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
   SystemOptions options;
   options.seed = 270;
   options.state_wal_dir = dir.string();
-  options.parallelism = 2;
-  options.pipeline_depth = 3;
   options.block_max_bytes = 1;  // one tx per block: commit order == submit order
   constexpr size_t kIncrements = 12;
 
@@ -835,11 +828,10 @@ TEST(NodeChaosTest, PipelineCommitCrashRecoversToPrefixConsistentState) {
       calls.push_back(std::move(*call));
     }
 
-    // The commit stage dies between pipeline stages: the first two commit
-    // groups land, the third is killed mid-run.
+    // The drain dies mid-run: the first two blocks land, the third fails
+    // before anything of it is written.
     FaultPlan plan(ChaosSeed());
-    plan.Arm("fault.chain.pipeline.commit",
-             Trigger{.after_hits = 2, .one_shot = true});
+    plan.Arm("fault.chain.apply_block", Trigger{.after_hits = 2, .one_shot = true});
     auto receipts = sys->RunToCompletion();
     ASSERT_FALSE(receipts.ok());
     EXPECT_EQ(receipts.status().code(), StatusCode::kUnavailable);
@@ -856,6 +848,7 @@ TEST(NodeChaosTest, PipelineCommitCrashRecoversToPrefixConsistentState) {
       EXPECT_FALSE(sys->node()->GetReceipt(calls[i].tx.Hash()).ok());
     }
     EXPECT_EQ(sys->node()->Height(), 1 + committed);  // + the deploy block
+    EXPECT_EQ(sys->node()->VerifiedPoolSize(), kIncrements - committed);
     // The node process "crashes" here: the re-queued in-memory pool is lost.
   }
 
@@ -1527,12 +1520,16 @@ TEST_F(SyncChaosTest, CheckpointWriteFailureNeverFailsTheBlock) {
   EXPECT_GE(primary_->node()->checkpoints()->LatestHeight(), 6u);
 }
 
-TEST(NodeChaosTest, PipelineStageFaultsSurfaceAndRetryCleanly) {
+TEST(NodeChaosTest, FailedDrainRequeuesAnUnlandedBlockButNeverALandedOne) {
+  auto dir = std::filesystem::temp_directory_path() / "confide_chaos_requeue";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
   SystemOptions options;
   options.seed = 290;
-  options.parallelism = 2;
-  options.pipeline_depth = 3;  // pinned: this test is about the pipeline
-  options.block_max_bytes = 1;
+  options.state_wal_dir = dir.string();
+  options.sync_commits = true;
+  options.block_max_bytes = 1;  // one tx per block: commit order == submit order
   auto boot = ConfideSystem::BootstrapFirst(options);
   ASSERT_TRUE(boot.ok()) << boot.status().ToString();
   auto& sys = *boot;
@@ -1554,59 +1551,59 @@ TEST(NodeChaosTest, PipelineStageFaultsSurfaceAndRetryCleanly) {
       calls.push_back(std::move(*call));
     }
   };
-  auto expect_committed_through = [&](size_t count) {
-    ASSERT_EQ(calls.size(), count);
-    auto receipt = sys->node()->GetReceipt(calls.back().tx.Hash());
-    ASSERT_TRUE(receipt.ok()) << receipt.status().ToString();
-    auto opened = Client::OpenSealedReceipt(calls.back().k_tx, receipt->output);
-    ASSERT_TRUE(opened.ok());
-    EXPECT_EQ(ToString(opened->output), std::to_string(count));
+  // Every call so far has exactly one receipt, and the counter it saw is
+  // its position: nothing lost, reordered or executed twice.
+  auto expect_each_committed_once = [&] {
+    for (size_t i = 0; i < calls.size(); ++i) {
+      auto receipt = sys->node()->GetReceipt(calls[i].tx.Hash());
+      ASSERT_TRUE(receipt.ok()) << "call " << i << ": " << receipt.status().ToString();
+      auto opened = Client::OpenSealedReceipt(calls[i].k_tx, receipt->output);
+      ASSERT_TRUE(opened.ok());
+      EXPECT_EQ(ToString(opened->output), std::to_string(i + 1)) << "call " << i;
+    }
+    EXPECT_EQ(sys->node()->Height(), 1 + calls.size());  // + the deploy block
+    EXPECT_EQ(sys->node()->UnverifiedPoolSize() + sys->node()->VerifiedPoolSize(), 0u);
   };
 
-  // Stage-1 verifier outage: the run fails loudly and the whole batch
-  // returns to the pools — an injected outage must not drop transactions.
+  // The second block fails before it lands: the drain stops with the
+  // error, and that block's transaction is back in the pool with the one
+  // behind it, so the retry commits all of them in order.
   submit(3);
+  uint64_t height = sys->node()->Height();
   {
     FaultPlan plan(ChaosSeed());
-    plan.Arm("fault.chain.pipeline.preverify", Trigger{.one_shot = true});
+    plan.Arm("fault.chain.apply_block", Trigger{.after_hits = 1, .one_shot = true});
     auto receipts = sys->RunToCompletion();
     ASSERT_FALSE(receipts.ok());
     EXPECT_EQ(receipts.status().code(), StatusCode::kUnavailable);
   }
-  EXPECT_EQ(sys->node()->UnverifiedPoolSize() + sys->node()->VerifiedPoolSize(),
-            3u);
-  ASSERT_TRUE(sys->RunToCompletion().ok());
-  expect_committed_through(3);
+  EXPECT_EQ(sys->node()->Height(), height + 1);
+  EXPECT_EQ(sys->node()->UnverifiedPoolSize() + sys->node()->VerifiedPoolSize(), 2u);
+  auto retry = sys->RunToCompletion();
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->size(), 2u);
+  expect_each_committed_once();
 
-  // Stage-2 execute failure: the failed block's transactions return to
-  // the pools and the exact same work commits on retry.
+  // The second block's fsync fails after its batch landed: the drain
+  // still returns the error, but the block is final, so its transaction
+  // is not requeued and the retry only runs the one behind it.
   submit(3);
+  height = sys->node()->Height();
   {
     FaultPlan plan(ChaosSeed());
-    plan.Arm("fault.chain.pipeline.execute", Trigger{.one_shot = true});
+    plan.Arm("fault.storage.wal_sync", Trigger{.after_hits = 1, .one_shot = true});
     auto receipts = sys->RunToCompletion();
     ASSERT_FALSE(receipts.ok());
     EXPECT_EQ(receipts.status().code(), StatusCode::kUnavailable);
   }
-  ASSERT_TRUE(sys->RunToCompletion().ok());
-  expect_committed_through(6);
+  EXPECT_EQ(sys->node()->Height(), height + 2);
+  EXPECT_EQ(sys->node()->UnverifiedPoolSize() + sys->node()->VerifiedPoolSize(), 1u);
+  retry = sys->RunToCompletion();
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->size(), 1u);
+  expect_each_committed_once();
 
-  // A stall is backpressure, not corruption: absorbed without reordering
-  // or dropping anything.
-  submit(2);
-  {
-    FaultPlan plan(ChaosSeed());
-    plan.Arm("fault.chain.pipeline.stall",
-             Trigger{.one_shot = true, .arg = 2'000'000});
-    ASSERT_TRUE(sys->RunToCompletion().ok());
-  }
-  expect_committed_through(8);
-
-  metrics::MetricsSnapshot snap = metrics::MetricsRegistry::Global().Snapshot();
-  EXPECT_GE(snap.counter("fault.chain.pipeline.preverify.injected"), 1u);
-  EXPECT_GE(snap.counter("fault.chain.pipeline.execute.injected"), 1u);
-  EXPECT_GE(snap.counter("fault.chain.pipeline.stall.injected"), 1u);
-  EXPECT_GE(snap.counter("fault.chain.pipeline.stall.recovered"), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(NodeChaosTest, WalResetFailureAfterFlushIsIdempotentlyRecoverable) {

@@ -37,7 +37,6 @@ from pathlib import Path
 # Sites not listed here model failures whose "recovery" is refusing to
 # proceed (e.g. a detected-stale bootstrap) or is observed elsewhere.
 RECOVERABLE_SITES = {
-    "fault.chain.pipeline.stall",
     "fault.chain.sync.chunk_corrupt",
     "fault.chain.sync.chunk_drop",
     "fault.chain.sync.equivocating_certificate",
