@@ -13,6 +13,8 @@
 ///           prefetch); gauged by enclave transitions/tx, which are
 ///           deterministic, rather than wall time.
 
+#include <algorithm>
+
 #include "bench/bench_util.h"
 #include "vm/cvm/builder.h"
 #include "vm/cvm/interpreter.h"
@@ -44,21 +46,26 @@ double VmFusionSpeedup() {
   Bytes wire = EncodeModule(mb.Finish());
   testutil::MapHostEnv env;
   CvmVm vm;
-  double secs[2];
+  vm::ExecConfig cfg[2];
   for (int fusion = 0; fusion <= 1; ++fusion) {
-    vm::ExecConfig cfg;
-    cfg.enable_fusion = fusion != 0;
-    cfg.gas_limit = 1ull << 40;
-    (void)vm.Execute(wire, "main", {}, &env, cfg);  // warm the code cache
-    double best = 1e9;
-    for (int rep = 0; rep < 3; ++rep) {
-      best = std::min(best, TimeSeconds([&] {
-               (void)vm.Execute(wire, "main", {}, &env, cfg);
-             }));
-    }
-    secs[fusion] = best;
+    cfg[fusion].enable_fusion = fusion != 0;
+    cfg[fusion].gas_limit = 1ull << 40;
+    (void)vm.Execute(wire, "main", {}, &env, cfg[fusion]);  // warm the code cache
   }
-  return secs[0] / secs[1];
+  // Each rep times both configs back to back; the median of the
+  // within-rep ratios keeps host drift between reps out of the ratio.
+  double ratio[3];
+  for (int rep = 0; rep < 3; ++rep) {
+    double secs[2];
+    for (int fusion = 0; fusion <= 1; ++fusion) {
+      secs[fusion] = TimeSeconds([&] {
+        (void)vm.Execute(wire, "main", {}, &env, cfg[fusion]);
+      });
+    }
+    ratio[rep] = secs[0] / secs[1];
+  }
+  std::sort(ratio, ratio + 3);
+  return ratio[1];
 }
 
 struct Step {
@@ -156,32 +163,53 @@ int main() {
   };
   constexpr int kStepCount = int(sizeof(kSteps) / sizeof(kSteps[0]));
 
-  double tps[kStepCount];
+  // Rep-major: each rep runs the whole ladder back to back, and a step
+  // gain is the median over reps of its within-rep ratio, so host drift
+  // between rungs does not land in every step ratio.
+  constexpr int kReps = 3;
+  double tps[kReps][kStepCount];
   double trans[kStepCount];
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int i = 0; i < kStepCount; ++i) {
+      StepResult result = RunStep(kSteps[i], 60'000 + i * 10 + rep);
+      tps[rep][i] = result.tps;
+      trans[i] = result.transitions_per_tx;  // identical across reps
+    }
+  }
+  auto median = [](double* v) {
+    std::sort(v, v + kReps);
+    return v[kReps / 2];
+  };
+  // Median over reps of tps[rep][i] / tps[rep][from].
+  auto median_ratio = [&](int i, int from) {
+    double r[kReps];
+    for (int rep = 0; rep < kReps; ++rep) r[rep] = tps[rep][i] / tps[rep][from];
+    return median(r);
+  };
+  double gain[kStepCount];
   std::printf("%-26s %10s %12s %12s %10s %10s\n", "configuration", "tx/s",
               "step gain", "cumulative", "trans/tx", "paper");
   for (int i = 0; i < kStepCount; ++i) {
-    // Best of 3 runs: the host is a single shared core, so individual
-    // runs are noisy.
-    tps[i] = 0;
-    trans[i] = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      StepResult result = RunStep(kSteps[i], 60'000 + i * 10 + rep);
-      tps[i] = std::max(tps[i], result.tps);
-      trans[i] = result.transitions_per_tx;  // identical across reps
-    }
-    double step_gain = i == 0 ? 1.0 : tps[i] / tps[i - 1];
+    double rung[kReps];
+    for (int rep = 0; rep < kReps; ++rep) rung[rep] = tps[rep][i];
+    gain[i] = i == 0 ? 1.0 : median_ratio(i, i - 1);
     std::printf("%-26s %10.1f %11.2fx %11.2fx %10.1f %10s\n", kSteps[i].label,
-                tps[i], step_gain, tps[i] / tps[0], trans[i],
+                median(rung), gain[i], median_ratio(i, 0), trans[i],
                 kSteps[i].paper_gain);
-    std::fflush(stdout);
+  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::printf("  rep %d step gains:", rep);
+    for (int i = 1; i < kStepCount; ++i) {
+      std::printf(" %.2fx", tps[rep][i] / tps[rep][i - 1]);
+    }
+    std::printf("\n");
   }
 
   std::printf("\nshape checks (paper Figure 12):\n");
-  double g1 = tps[1] / tps[0];
-  double g2 = tps[2] / tps[1];
-  double g3 = tps[3] / tps[2];
-  double g4 = tps[4] / tps[3];
+  double g1 = gain[1];
+  double g2 = gain[2];
+  double g3 = gain[3];
+  double g4 = gain[4];
   std::printf("  OPT1 gives a significant gain (>1.2x): %s (%.2fx, paper ~2x)\n",
               g1 > 1.2 ? "yes" : "NO", g1);
   std::printf("  OPT2 gives a significant gain (>1.3x): %s (%.2fx, paper ~2.5x)\n",
@@ -197,8 +225,8 @@ int main() {
   bool opt5_fewer_transitions = trans[5] < trans[4];
   std::printf("  OPT5 cuts enclave transitions/tx: %s (%.1f -> %.1f)\n",
               opt5_fewer_transitions ? "yes" : "NO", trans[4], trans[5]);
-  bool monotone = tps[1] > tps[0] && tps[2] > tps[1] && tps[3] >= tps[2] * 0.95 &&
-                  tps[4] >= tps[3] * 0.75 && tps[5] >= tps[4] * 0.75;
+  bool monotone = gain[1] > 1.0 && gain[2] > 1.0 && gain[3] >= 0.95 &&
+                  gain[4] >= 0.75 && gain[5] >= 0.75;
   std::printf("  ladder is (near-)monotone: %s\n", monotone ? "yes" : "NO");
   bool ok = g1 > 1.2 && g2 > 1.3 && monotone && fusion_micro > 1.15 &&
             opt5_fewer_transitions;

@@ -147,7 +147,7 @@ class Node {
 
   /// \brief The commit step: writes each staged block's batch in order and
   /// finalizes it as soon as it lands (the commit rule, see ApplyBlock),
-  /// then pays one commit wait and one optional fsync for the group.
+  /// then pays one optional fsync for the whole group.
   /// `*committed` counts the blocks finalized, also on failure.
   Status CommitGroup(std::vector<StagedBlock>* group, size_t* committed);
 

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <map>
 
-#include "net/tcp_transport.h"
+#include "net/socket.h"
 
 namespace confide::net {
 

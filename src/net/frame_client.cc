@@ -1,16 +1,5 @@
 #include "net/frame_client.h"
 
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
-#include "net/tcp_transport.h"
-
 namespace confide::net {
 
 Result<FrameClient> FrameClient::Dial(const std::string& addr) {
@@ -21,78 +10,32 @@ Result<FrameClient> FrameClient::Dial(const std::string& addr) {
 FrameClient::FrameClient(FrameClient&& other) noexcept
     : host_(std::move(other.host_)),
       port_(other.port_),
-      fd_(other.fd_),
-      assembler_(std::move(other.assembler_)) {
-  other.fd_ = -1;
-}
+      fd_(std::move(other.fd_)),
+      assembler_(std::move(other.assembler_)) {}
 
 FrameClient& FrameClient::operator=(FrameClient&& other) noexcept {
   if (this != &other) {
-    Disconnect();
     host_ = std::move(other.host_);
     port_ = other.port_;
-    fd_ = other.fd_;
+    fd_ = std::move(other.fd_);
     assembler_ = std::move(other.assembler_);
-    other.fd_ = -1;
   }
   return *this;
 }
 
-FrameClient::~FrameClient() { Disconnect(); }
-
 void FrameClient::Disconnect() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  fd_.Reset();
   assembler_ = FrameAssembler();
-}
-
-Status FrameClient::EnsureConnected() {
-  if (fd_ >= 0) return Status::OK();
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  const std::string port_str = std::to_string(port_);
-  int rc = ::getaddrinfo(host_.c_str(), port_str.c_str(), &hints, &res);
-  if (rc != 0 || res == nullptr) {
-    return Status::Unavailable("frame client: resolve " + host_ + ": " +
-                               gai_strerror(rc));
-  }
-  int fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-  if (fd < 0) {
-    ::freeaddrinfo(res);
-    return Status::Unavailable("frame client: socket(): " +
-                               std::string(std::strerror(errno)));
-  }
-  rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
-  ::freeaddrinfo(res);
-  if (rc != 0) {
-    ::close(fd);
-    return Status::Unavailable("frame client: connect " + host_ + ":" +
-                               port_str + ": " + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  assembler_ = FrameAssembler();
-  return Status::OK();
 }
 
 Result<OwnedFrame> FrameClient::RoundTrip(MsgType type, ByteView body) {
-  CONFIDE_RETURN_NOT_OK(EnsureConnected());
-  const Bytes frame = EncodeFrame(type, body);
-  size_t off = 0;
-  while (off < frame.size()) {
-    ssize_t n = ::send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Disconnect();
-      return Status::Unavailable("frame client: send: " +
-                                 std::string(std::strerror(errno)));
-    }
-    off += size_t(n);
+  if (!fd_.valid()) {
+    CONFIDE_ASSIGN_OR_RETURN(fd_, net::Dial(host_, port_));
+  }
+  Status sent = WriteAll(fd_.get(), EncodeFrame(type, body));
+  if (!sent.ok()) {
+    Disconnect();
+    return sent;
   }
   uint8_t chunk[4096];
   while (true) {
@@ -101,9 +44,8 @@ Result<OwnedFrame> FrameClient::RoundTrip(MsgType type, ByteView body) {
     if (ready) {
       return OwnedFrame{view.type, ToBytes(view.body)};
     }
-    ssize_t n = ::read(fd_, chunk, sizeof(chunk));
+    ssize_t n = ReadSome(fd_.get(), chunk, sizeof(chunk));
     if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
       Disconnect();
       return Status::Unavailable("frame client: connection closed mid-reply");
     }

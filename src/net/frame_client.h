@@ -14,6 +14,7 @@
 #include <string>
 
 #include "net/frame.h"
+#include "net/socket.h"
 
 namespace confide::net {
 
@@ -24,9 +25,6 @@ class FrameClient {
 
   FrameClient(FrameClient&& other) noexcept;
   FrameClient& operator=(FrameClient&& other) noexcept;
-  FrameClient(const FrameClient&) = delete;
-  FrameClient& operator=(const FrameClient&) = delete;
-  ~FrameClient();
 
   /// \brief Sends one frame and blocks for the reply frame.
   Result<OwnedFrame> Call(MsgType type, ByteView body);
@@ -35,14 +33,13 @@ class FrameClient {
   FrameClient(std::string host, uint16_t port)
       : host_(std::move(host)), port_(port) {}
 
-  Status EnsureConnected();
   void Disconnect();
   Result<OwnedFrame> RoundTrip(MsgType type, ByteView body);
 
   std::mutex mu_;
   std::string host_;
   uint16_t port_ = 0;
-  int fd_ = -1;
+  Fd fd_;
   FrameAssembler assembler_;
 };
 

@@ -1,16 +1,8 @@
 #include "net/http.h"
 
-#include <arpa/inet.h>
-#include <netdb.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <cstdlib>
+#include <memory>
 
 #include "common/metrics.h"
 
@@ -38,93 +30,84 @@ std::string ToLower(std::string s) {
   return s;
 }
 
-/// Reads from `fd` until the header terminator is buffered (or limits
-/// hit). Returns false on EOF-before-request / oversized headers.
-bool ReadUntilHeaderEnd(int fd, std::string* buf, size_t* header_end) {
+/// One message head: the start line and the lower-cased headers.
+struct Head {
+  std::string start_line;
+  std::map<std::string, std::string> headers;
+};
+
+/// Reads one message (head plus Content-Length body) for the server and
+/// the client alike; bytes past it stay in `buf`. Unavailable: the stream
+/// ended. InvalidArgument: a malformed or oversized head.
+/// ResourceExhausted: a body over kMaxHttpBodyBytes, refused from the head.
+Result<std::pair<Head, std::string>> ReadMessage(int fd, std::string* buf) {
   char chunk[4096];
-  while (true) {
-    size_t pos = buf->find("\r\n\r\n");
-    if (pos != std::string::npos) {
-      *header_end = pos + 4;
-      return true;
+  size_t end;
+  while ((end = buf->find("\r\n\r\n")) == std::string::npos) {
+    if (buf->size() > kMaxHttpHeaderBytes) {
+      return Status::InvalidArgument("http: header block too large");
     }
-    if (buf->size() > kMaxHttpHeaderBytes) return false;
-    ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
+    ssize_t n = ReadSome(fd, chunk, sizeof(chunk));
+    if (n <= 0) return Status::Unavailable("http: connection closed");
     buf->append(chunk, size_t(n));
   }
-}
-
-bool ReadExact(int fd, std::string* buf, size_t want) {
-  char chunk[4096];
-  while (buf->size() < want) {
-    size_t need = want - buf->size();
-    ssize_t n = ::read(fd, chunk, std::min(need, sizeof(chunk)));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    buf->append(chunk, size_t(n));
-  }
-  return true;
-}
-
-bool WriteAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += size_t(n);
-  }
-  return true;
-}
-
-/// Parses one request from `buf` (headers complete at header_end).
-/// Returns the number of bytes consumed, 0 when the body is not complete
-/// yet, or nullopt on a malformed request.
-Result<HttpRequest> ParseRequest(const std::string& head) {
-  HttpRequest req;
-  size_t line_end = head.find("\r\n");
-  if (line_end == std::string::npos) {
-    return Status::InvalidArgument("http: missing request line");
-  }
-  const std::string request_line = head.substr(0, line_end);
-  size_t sp1 = request_line.find(' ');
-  size_t sp2 = request_line.rfind(' ');
-  if (sp1 == std::string::npos || sp2 == sp1) {
-    return Status::InvalidArgument("http: malformed request line");
-  }
-  req.method = request_line.substr(0, sp1);
-  req.path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  if (req.method.empty() || req.path.empty() || req.path[0] != '/') {
-    return Status::InvalidArgument("http: malformed method/path");
-  }
-  const std::string version = request_line.substr(sp2 + 1);
-  if (version.rfind("HTTP/1.", 0) != 0) {
-    return Status::InvalidArgument("http: unsupported version");
-  }
-  size_t pos = line_end + 2;
-  while (pos < head.size()) {
-    size_t eol = head.find("\r\n", pos);
-    if (eol == std::string::npos) break;
-    if (eol == pos) break;  // blank line
-    const std::string line = head.substr(pos, eol - pos);
+  Head head;
+  size_t pos = buf->find("\r\n");
+  head.start_line = buf->substr(0, pos);
+  // Every line ends in "\r\n": the blank line at `end` terminates them.
+  for (pos += 2; pos < end;) {
+    size_t eol = buf->find("\r\n", pos);
+    const std::string line = buf->substr(pos, eol - pos);
     size_t colon = line.find(':');
     if (colon == std::string::npos) {
       return Status::InvalidArgument("http: malformed header line");
     }
-    std::string key = ToLower(line.substr(0, colon));
-    size_t value_begin = line.find_first_not_of(' ', colon + 1);
-    req.headers[key] =
-        value_begin == std::string::npos ? "" : line.substr(value_begin);
+    size_t value = line.find_first_not_of(' ', colon + 1);
+    head.headers[ToLower(line.substr(0, colon))] =
+        value == std::string::npos ? "" : line.substr(value);
     pos = eol + 2;
   }
+  const size_t body_at = end + 4;
+  size_t body_len = 0;
+  auto cl = head.headers.find("content-length");
+  if (cl != head.headers.end()) {
+    char* cl_end = nullptr;
+    unsigned long long v = std::strtoull(cl->second.c_str(), &cl_end, 10);
+    if (*cl_end != '\0' || v > kMaxHttpBodyBytes) {
+      return Status::ResourceExhausted("body too large or invalid");
+    }
+    body_len = size_t(v);
+  }
+  while (buf->size() < body_at + body_len) {
+    size_t need = body_at + body_len - buf->size();
+    ssize_t n = ReadSome(fd, chunk, std::min(need, sizeof(chunk)));
+    if (n <= 0) return Status::Unavailable("http: connection closed");
+    buf->append(chunk, size_t(n));
+  }
+  std::string body = buf->substr(body_at, body_len);
+  buf->erase(0, body_at + body_len);
+  return std::make_pair(std::move(head), std::move(body));
+}
+
+/// Validates the request line of `head` and assembles the request.
+Result<HttpRequest> ParseRequest(Head head, std::string body) {
+  const std::string& line = head.start_line;
+  size_t sp1 = line.find(' ');
+  size_t sp2 = line.rfind(' ');
+  if (sp1 == std::string::npos || sp2 == sp1) {
+    return Status::InvalidArgument("http: malformed request line");
+  }
+  HttpRequest req;
+  req.method = line.substr(0, sp1);
+  req.path = line.substr(sp1 + 1, sp2 - sp1 - 1);
+  if (req.method.empty() || req.path.empty() || req.path[0] != '/') {
+    return Status::InvalidArgument("http: malformed method/path");
+  }
+  if (line.compare(sp2 + 1, 7, "HTTP/1.") != 0) {
+    return Status::InvalidArgument("http: unsupported version");
+  }
+  req.headers = std::move(head.headers);
+  req.body = std::move(body);
   return req;
 }
 
@@ -145,130 +128,45 @@ HttpServer::~HttpServer() { Stop(); }
 
 Status HttpServer::Start(const std::string& host, uint16_t port, Handler handler) {
   handler_ = std::move(handler);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Unavailable("http: socket(): " + std::string(std::strerror(errno)));
-  }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (host == "0.0.0.0") {
-    addr.sin_addr.s_addr = INADDR_ANY;
-  } else if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("http: bad listen host '" + host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listen_fd_, 128) < 0) {
-    Status st = Status::Unavailable("http: bind/listen(" + std::to_string(port) +
-                                    "): " + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return listener_.Start(host, port, [this](Fd fd) {
+    auto conn = std::make_shared<Fd>(std::move(fd));
+    workers_.Spawn([this, conn] { Serve(conn->get()); },
+                   [conn] { conn->Shutdown(); });
+  });
 }
 
 void HttpServer::Stop() {
-  bool was_running = running_.exchange(false);
-  if (!was_running && listen_fd_ < 0) return;
-  std::vector<std::thread> workers;
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    workers.swap(workers_);
-    fds.swap(conn_fds_);
-  }
-  for (int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (auto& t : workers) {
-    if (t.joinable()) t.join();
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // The accept thread is gone (the running_ flip bounds its poll at 100 ms),
-  // so the listener can be closed without racing AcceptLoop's reads of
-  // listen_fd_.
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void HttpServer::AcceptLoop() {
-  while (running_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, 100);
-    if (!running_.load(std::memory_order_relaxed)) break;
-    if (ready <= 0) continue;
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    conn_fds_.push_back(fd);
-    workers_.emplace_back([this, fd] { Serve(fd); });
-  }
+  listener_.Stop();
+  workers_.StopAll();
 }
 
 void HttpServer::Serve(int fd) {
   static metrics::Counter* requests = metrics::GetCounter("net.http.request.count");
   static metrics::Counter* bad = metrics::GetCounter("net.http.bad_request.count");
   std::string buf;
-  while (running_.load(std::memory_order_relaxed)) {
-    size_t header_end = 0;
-    if (!ReadUntilHeaderEnd(fd, &buf, &header_end)) break;
-    auto parsed = ParseRequest(buf.substr(0, header_end));
-    if (!parsed.ok()) {
+  // Stop shuts the socket down, which fails the next read or write.
+  while (true) {
+    auto msg = ReadMessage(fd, &buf);
+    Result<HttpRequest> req =
+        msg.ok() ? ParseRequest(std::move(msg->first), std::move(msg->second))
+                 : msg.status();
+    if (!req.ok()) {
+      if (req.status().code() == StatusCode::kUnavailable) break;
       bad->Increment();
-      (void)WriteAll(fd, SerializeResponse(
-                             HttpResponse::Text(400, parsed.status().message()),
-                             /*keep_alive=*/false));
+      const bool too_large = req.status().code() == StatusCode::kResourceExhausted;
+      const HttpResponse refusal =
+          HttpResponse::Text(too_large ? 413 : 400, req.status().message());
+      (void)WriteAll(fd, AsByteView(SerializeResponse(refusal, /*keep_alive=*/false)));
       break;
     }
-    HttpRequest req = std::move(*parsed);
-    size_t body_len = 0;
-    auto cl = req.headers.find("content-length");
-    if (cl != req.headers.end()) {
-      char* end = nullptr;
-      unsigned long long v = std::strtoull(cl->second.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || v > kMaxHttpBodyBytes) {
-        bad->Increment();
-        (void)WriteAll(fd, SerializeResponse(
-                               HttpResponse::Text(413, "body too large or invalid"),
-                               /*keep_alive=*/false));
-        break;
-      }
-      body_len = size_t(v);
-    }
-    if (!ReadExact(fd, &buf, header_end + body_len)) break;
-    req.body = buf.substr(header_end, body_len);
-    buf.erase(0, header_end + body_len);
-
     requests->Increment();
-    HttpResponse resp;
-    resp = handler_ ? handler_(req) : HttpResponse::Text(500, "no handler");
-    auto conn_header = req.headers.find("connection");
-    const bool keep_alive = conn_header == req.headers.end() ||
+    HttpResponse resp = handler_ ? handler_(*req) : HttpResponse::Text(500, "no handler");
+    auto conn_header = req->headers.find("connection");
+    const bool keep_alive = conn_header == req->headers.end() ||
                             ToLower(conn_header->second) != "close";
-    if (!WriteAll(fd, SerializeResponse(resp, keep_alive))) break;
+    if (!WriteAll(fd, AsByteView(SerializeResponse(resp, keep_alive))).ok()) break;
     if (!keep_alive) break;
   }
-  ::close(fd);
 }
 
 Result<HttpClient> HttpClient::Connect(const std::string& base_url) {
@@ -276,123 +174,42 @@ Result<HttpClient> HttpClient::Connect(const std::string& base_url) {
   if (base_url.rfind(prefix, 0) != 0) {
     return Status::InvalidArgument("http client: url must start with http://");
   }
-  std::string host_port = base_url.substr(prefix.size());
-  size_t slash = host_port.find('/');
-  if (slash != std::string::npos) host_port = host_port.substr(0, slash);
-  size_t colon = host_port.rfind(':');
-  if (colon == std::string::npos || colon + 1 == host_port.size()) {
-    return Status::InvalidArgument("http client: url must carry host:port");
-  }
-  char* end = nullptr;
-  unsigned long port = std::strtoul(host_port.c_str() + colon + 1, &end, 10);
-  if (end == nullptr || *end != '\0' || port == 0 || port > 65535) {
+  const std::string rest = base_url.substr(prefix.size());
+  CONFIDE_ASSIGN_OR_RETURN(auto addr, SplitHostPort(rest.substr(0, rest.find('/'))));
+  if (addr.second == 0) {
     return Status::InvalidArgument("http client: bad port in url");
   }
-  return HttpClient(host_port.substr(0, colon), uint16_t(port));
-}
-
-HttpClient::HttpClient(HttpClient&& other) noexcept
-    : host_(std::move(other.host_)), port_(other.port_), fd_(other.fd_) {
-  other.fd_ = -1;
-}
-
-HttpClient& HttpClient::operator=(HttpClient&& other) noexcept {
-  if (this != &other) {
-    Disconnect();
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    fd_ = other.fd_;
-    other.fd_ = -1;
-  }
-  return *this;
-}
-
-HttpClient::~HttpClient() { Disconnect(); }
-
-void HttpClient::Disconnect() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-Status HttpClient::EnsureConnected() {
-  if (fd_ >= 0) return Status::OK();
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* res = nullptr;
-  std::string port_str = std::to_string(port_);
-  int rc = ::getaddrinfo(host_.c_str(), port_str.c_str(), &hints, &res);
-  if (rc != 0 || res == nullptr) {
-    return Status::Unavailable("http client: resolve " + host_ + ": " +
-                               gai_strerror(rc));
-  }
-  int fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-  if (fd < 0) {
-    ::freeaddrinfo(res);
-    return Status::Unavailable("http client: socket(): " +
-                               std::string(std::strerror(errno)));
-  }
-  rc = ::connect(fd, res->ai_addr, res->ai_addrlen);
-  ::freeaddrinfo(res);
-  if (rc != 0) {
-    ::close(fd);
-    return Status::Unavailable("http client: connect " + host_ + ":" + port_str +
-                               ": " + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  fd_ = fd;
-  return Status::OK();
+  return HttpClient(addr.first, addr.second);
 }
 
 Result<HttpResponse> HttpClient::RoundTrip(const std::string& request) {
   // One reconnect attempt: a keep-alive connection the server closed
   // (restart, idle timeout) surfaces as a failed write/read.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    CONFIDE_RETURN_NOT_OK(EnsureConnected());
-    if (!WriteAll(fd_, request)) {
-      Disconnect();
-      continue;
+    if (!fd_.valid()) {
+      CONFIDE_ASSIGN_OR_RETURN(fd_, Dial(host_, port_));
     }
     std::string buf;
-    size_t header_end = 0;
-    if (!ReadUntilHeaderEnd(fd_, &buf, &header_end)) {
-      Disconnect();
-      continue;
+    Status sent = WriteAll(fd_.get(), AsByteView(request));
+    auto msg = sent.ok() ? ReadMessage(fd_.get(), &buf) : sent;
+    if (!msg.ok()) {
+      fd_.Reset();
+      if (msg.status().code() == StatusCode::kUnavailable) continue;
+      return Status::Corruption("http client: " + msg.status().message());
     }
-    const std::string head = buf.substr(0, header_end);
-    if (head.rfind("HTTP/1.", 0) != 0 || head.size() < 12) {
-      Disconnect();
+    const std::string& status_line = msg->first.start_line;
+    const auto& headers = msg->first.headers;
+    if (status_line.rfind("HTTP/1.", 0) != 0 || status_line.size() < 12) {
+      fd_.Reset();
       return Status::Corruption("http client: malformed status line");
     }
     HttpResponse resp;
-    resp.status = std::atoi(head.c_str() + 9);
-    std::string lower_head = ToLower(head);
-    size_t cl_pos = lower_head.find("content-length:");
-    size_t body_len = 0;
-    if (cl_pos != std::string::npos) {
-      body_len = size_t(std::strtoull(head.c_str() + cl_pos + 15, nullptr, 10));
-      if (body_len > kMaxHttpBodyBytes) {
-        Disconnect();
-        return Status::Corruption("http client: oversized response body");
-      }
-    }
-    size_t ct_pos = lower_head.find("content-type:");
-    if (ct_pos != std::string::npos) {
-      size_t eol = head.find("\r\n", ct_pos);
-      size_t value = head.find_first_not_of(' ', ct_pos + 13);
-      if (value != std::string::npos && eol != std::string::npos && value < eol) {
-        resp.content_type = head.substr(value, eol - value);
-      }
-    }
-    if (!ReadExact(fd_, &buf, header_end + body_len)) {
-      Disconnect();
-      continue;
-    }
-    resp.body = buf.substr(header_end, body_len);
-    if (lower_head.find("connection: close") != std::string::npos) Disconnect();
+    resp.status = std::atoi(status_line.c_str() + 9);
+    auto ct = headers.find("content-type");
+    if (ct != headers.end()) resp.content_type = ct->second;
+    resp.body = std::move(msg->second);
+    auto conn = headers.find("connection");
+    if (conn != headers.end() && ToLower(conn->second) == "close") fd_.Reset();
     return resp;
   }
   return Status::Unavailable("http client: request to " + host_ + " failed");

@@ -14,18 +14,14 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "net/socket.h"
 
 namespace confide::net {
 
@@ -73,22 +69,19 @@ class HttpServer {
   /// serving `handler` on a background accept thread.
   Status Start(const std::string& host, uint16_t port, Handler handler);
 
+  /// \brief Stops accepting, shuts down the connections still being
+  /// served and joins their threads.
   void Stop();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
  private:
-  void AcceptLoop();
   void Serve(int fd);
 
   Handler handler_;
-  std::atomic<bool> running_{false};
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::mutex mu_;
-  std::vector<std::thread> workers_;
-  std::vector<int> conn_fds_;
+  Listener listener_;
+  /// Declared last: destroyed first, while the state Serve uses is alive.
+  ConnectionThreads workers_;
 };
 
 /// \brief Blocking keep-alive HTTP client bound to one host:port. Not
@@ -98,11 +91,6 @@ class HttpClient {
   /// \brief `base_url` like "http://127.0.0.1:8080".
   static Result<HttpClient> Connect(const std::string& base_url);
 
-  HttpClient(HttpClient&& other) noexcept;
-  HttpClient& operator=(HttpClient&& other) noexcept;
-  HttpClient(const HttpClient&) = delete;
-  HttpClient& operator=(const HttpClient&) = delete;
-  ~HttpClient();
 
   Result<HttpResponse> Get(const std::string& path);
   Result<HttpResponse> Post(const std::string& path, const std::string& body,
@@ -112,12 +100,10 @@ class HttpClient {
   HttpClient(std::string host, uint16_t port) : host_(std::move(host)), port_(port) {}
 
   Result<HttpResponse> RoundTrip(const std::string& request);
-  Status EnsureConnected();
-  void Disconnect();
 
   std::string host_;
   uint16_t port_ = 0;
-  int fd_ = -1;
+  Fd fd_;
 };
 
 }  // namespace confide::net

@@ -30,33 +30,25 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "net/socket.h"
 #include "net/transport.h"
 
 namespace confide::net {
 
-/// \brief "host:port" → (host, port). Rejects missing/invalid port.
-Result<std::pair<std::string, uint16_t>> SplitHostPort(const std::string& addr);
-
 struct TcpTransportOptions {
   /// This node's id; must index into `peers`.
   uint32_t self_id = 0;
-  /// One "host:port" per cluster node, indexed by node id (the entry at
-  /// self_id names the advertised address of this node; only its port
-  /// matters when `listen_port` is unset).
+  /// One "host:port" per cluster node, indexed by node id. The entry at
+  /// self_id is this node's advertised address; the listener binds its
+  /// port (0 = ephemeral, see listen_port()).
   std::vector<std::string> peers;
-  /// Port to bind (0 = the port from peers[self_id]; peers[self_id] port
-  /// 0 = ephemeral, see listen_port()).
-  uint16_t listen_port = 0;
   /// Address to bind the listener to.
   std::string listen_host = "0.0.0.0";
-  /// Outbound connect attempts per Send before giving up.
-  uint32_t connect_attempts = 3;
-  /// Backoff between connect attempts, doubling per retry.
-  uint64_t connect_backoff_ms = 10;
 };
 
 class TcpTransport : public Transport {
@@ -78,13 +70,14 @@ class TcpTransport : public Transport {
   uint64_t NowNs() const override;
 
   /// \brief Bound listener port (after Start; resolves ephemeral binds).
-  uint16_t listen_port() const { return bound_port_; }
+  uint16_t listen_port() const { return listener_.port(); }
 
  private:
   struct Connection;
 
-  void AcceptLoop();
   void TimerLoop();
+  /// \brief Starts the reader thread of `conn` (inbound or outbound).
+  void SpawnReader(std::shared_ptr<Connection> conn);
   void ReadLoop(std::shared_ptr<Connection> conn);
   /// \brief Returns the established outbound connection to `peer`,
   /// dialing (with retry/backoff + kHello) when absent.
@@ -96,9 +89,7 @@ class TcpTransport : public Transport {
   TcpTransportOptions options_;
   HandlerFn handler_;
   std::atomic<bool> running_{false};
-  int listen_fd_ = -1;
-  uint16_t bound_port_ = 0;
-  std::thread accept_thread_;
+  Listener listener_;
 
   uint64_t timer_period_ns_ = 0;
   std::function<void()> timer_tick_;
@@ -106,15 +97,15 @@ class TcpTransport : public Transport {
 
   std::mutex mu_;
   std::map<uint32_t, std::shared_ptr<Connection>> outbound_;  // by peer id
-  std::vector<std::shared_ptr<Connection>> inbound_;
-  std::vector<std::thread> reader_threads_;
   /// Peers whose outbound stream was poisoned by an injected truncation;
   /// the next successful frame to them reports fault recovery.
-  std::map<uint32_t, bool> truncate_poisoned_;
+  std::set<uint32_t> truncate_poisoned_;
   /// Peers whose inbound stream saw an injected byte flip; the next good
   /// frame from them reports fault recovery.
-  std::map<uint32_t, bool> recv_corrupted_peers_;
+  std::set<uint32_t> recv_corrupted_peers_;
   bool injected_connect_fail_ = false;
+  /// Declared last: destroyed first, while the state readers use is alive.
+  ConnectionThreads readers_;
 };
 
 }  // namespace confide::net

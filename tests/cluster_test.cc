@@ -12,11 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -36,6 +31,7 @@
 #include "net/tcp_transport.h"
 #include "serialize/json.h"
 #include "serialize/rlp.h"
+#include "tests/net_test_util.h"
 
 namespace confide::net {
 namespace {
@@ -97,20 +93,7 @@ bool WaitFor(const std::function<bool()>& pred, uint64_t timeout_ms = 10000) {
   return pred();
 }
 
-uint16_t PickPort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
+using testutil::PickPort;
 
 TEST(ClusterQuorumTest, TwoFPlusOne) {
   EXPECT_EQ(ClusterNode::Quorum(1), 1u);

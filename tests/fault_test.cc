@@ -7,11 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -39,6 +34,7 @@
 #include "serialize/rlp.h"
 #include "storage/lsm_store.h"
 #include "storage/wal.h"
+#include "tests/net_test_util.h"
 
 namespace confide {
 namespace {
@@ -1691,28 +1687,13 @@ bool NetWaitFor(const std::function<bool()>& pred, uint64_t timeout_ms = 5000) {
   return pred();
 }
 
-uint16_t NetPickPort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
 /// A connected TcpTransport pair with recording handlers, the substrate
 /// for the per-site TCP chaos tests.
 class NetChaosTcpPair {
  public:
   NetChaosTcpPair() {
-    peers_ = {"127.0.0.1:" + std::to_string(NetPickPort()),
-              "127.0.0.1:" + std::to_string(NetPickPort())};
+    peers_ = {"127.0.0.1:" + std::to_string(testutil::PickPort()),
+              "127.0.0.1:" + std::to_string(testutil::PickPort())};
     for (uint32_t id = 0; id < 2; ++id) {
       TcpTransportOptions options;
       options.self_id = id;

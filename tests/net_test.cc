@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -31,6 +31,7 @@
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
 #include "serialize/rlp.h"
+#include "tests/net_test_util.h"
 
 namespace confide::net {
 namespace {
@@ -48,34 +49,8 @@ bool WaitFor(const std::function<bool()>& pred, uint64_t timeout_ms = 5000) {
   return pred();
 }
 
-/// Reserves a free TCP port by binding :0 and closing (tests must pick
-/// ports before constructing transports, whose peer table is fixed).
-uint16_t PickPort() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = 0;
-  EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  socklen_t len = sizeof(addr);
-  EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-  uint16_t port = ntohs(addr.sin_port);
-  ::close(fd);
-  return port;
-}
-
-/// Connects a raw client socket to 127.0.0.1:`port`.
-int RawConnect(uint16_t port) {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  return fd;
-}
+using testutil::PickPort;
+using testutil::RawConnect;
 
 // ---------------------------------------------------------------------------
 // Frame encode/decode
@@ -328,6 +303,17 @@ TEST(SplitHostPortTest, RejectsMalformedAddresses) {
   EXPECT_FALSE(SplitHostPort("host:70000").ok());
 }
 
+// HttpClient URLs go through the same parser after the scheme and any
+// path are stripped; a client cannot dial port 0.
+TEST(SplitHostPortTest, HttpClientUrls) {
+  EXPECT_TRUE(HttpClient::Connect("http://127.0.0.1:8080").ok());
+  EXPECT_TRUE(HttpClient::Connect("http://localhost:8080/v1/status").ok());
+  EXPECT_FALSE(HttpClient::Connect("127.0.0.1:8080").ok());
+  EXPECT_FALSE(HttpClient::Connect("http://127.0.0.1").ok());
+  EXPECT_FALSE(HttpClient::Connect("http://127.0.0.1:0").ok());
+  EXPECT_FALSE(HttpClient::Connect("http://127.0.0.1:99999/x").ok());
+}
+
 std::vector<char*> Argv(std::vector<std::string>& args) {
   std::vector<char*> argv;
   for (auto& arg : args) argv.push_back(arg.data());
@@ -523,6 +509,70 @@ TEST(HttpTest, OversizedBodyRejectedWithoutBuffering) {
   EXPECT_NE(std::strstr(buf, "413"), nullptr) << buf;
   ::close(fd);
   server.Stop();
+}
+
+/// The server-side fd of the TCP connection whose client end is
+/// `client_fd` (the server runs in this process), or -1 before it is
+/// accepted.
+int ServerSideFd(int client_fd) {
+  sockaddr_in local{};
+  socklen_t len = sizeof(local);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&local), &len) != 0) {
+    return -1;
+  }
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in peer{};
+    socklen_t peer_len = sizeof(peer);
+    if (fd != client_fd &&
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) == 0 &&
+        peer.sin_family == AF_INET && peer.sin_port == local.sin_port) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+// Stop shuts down only the connections still being served: the fd number
+// of one that already ended may belong to an unrelated socket by then.
+TEST(HttpTest, StopLeavesReusedFdNumbersAlone) {
+  HttpServer server;
+  ASSERT_TRUE(server
+                  .Start("127.0.0.1", 0,
+                         [](const HttpRequest&) {
+                           return HttpResponse::Text(200, "ok");
+                         })
+                  .ok());
+  int fd = RawConnect(server.port());
+  int served = -1;
+  ASSERT_TRUE(WaitFor([&] { return (served = ServerSideFd(fd)) >= 0; }));
+  const std::string req = "GET /x HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+  ASSERT_GT(::send(fd, req.data(), req.size(), MSG_NOSIGNAL), 0);
+  char buf[256];
+  while (::recv(fd, buf, sizeof(buf), 0) > 0) {
+  }
+  ::close(fd);
+  // The ended connection releases its fd number...
+  ASSERT_TRUE(WaitFor([&] { return ::fcntl(served, F_GETFD) < 0; }));
+  // ...and an unrelated socketpair takes it.
+  std::vector<int> spare;
+  int pair[2] = {-1, -1};
+  while (spare.size() < 64) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+    if (pair[0] == served || pair[1] == served) break;
+    spare.push_back(pair[0]);
+    spare.push_back(pair[1]);
+  }
+  for (int s : spare) ::close(s);
+  ASSERT_TRUE(pair[0] == served || pair[1] == served);
+
+  server.Stop();
+  char byte = 'x';
+  EXPECT_EQ(::send(pair[0], &byte, 1, MSG_NOSIGNAL), 1);
+  EXPECT_EQ(::recv(pair[1], &byte, 1, 0), 1);
+  EXPECT_EQ(::send(pair[1], &byte, 1, MSG_NOSIGNAL), 1);
+  EXPECT_EQ(::recv(pair[0], &byte, 1, 0), 1);
+  ::close(pair[0]);
+  ::close(pair[1]);
 }
 
 // ---------------------------------------------------------------------------
