@@ -131,6 +131,8 @@ class Node {
   crypto::Hash256 TipHash() const { return last_block_hash_; }
   size_t UnverifiedPoolSize() const;
   size_t VerifiedPoolSize() const;
+  /// \brief The block payload target ProposeBlock packs to.
+  size_t block_max_bytes() const { return options_.block_max_bytes; }
 
  private:
   Node(NodeOptions options, EngineSet engines,

@@ -31,9 +31,10 @@ namespace confide::net {
 ///   --block-max-bytes=B   (CONFIDED_BLOCK_MAX_BYTES)
 ///   --parallelism=P       (CONFIDED_PARALLELISM)  pre-verify threads
 ///   --state-dir=D         (CONFIDED_STATE_DIR)    WAL dir; empty = volatile
-///   --tick-ms=T           (CONFIDED_TICK_MS)      idle propose beat on the
-///                         node's timer (ClusterOptions::propose_tick_ms);
-///                         must be > 0
+///   --tick-ms=T           (CONFIDED_TICK_MS)      idle beat on the node's
+///                         timer (ClusterOptions::propose_tick_ms): the
+///                         upper bound on idle wait, not the proposing
+///                         cadence; must be > 0
 ///   --heartbeat-ms=T      (CONFIDED_HEARTBEAT_MS) leader heartbeat cadence;
 ///                         0 disables failover (static leader)
 ///   --view-timeout-ms=T   (CONFIDED_VIEW_TIMEOUT_MS) base leader-silence

@@ -126,8 +126,11 @@ Status Listener::Start(const std::string& host, uint16_t port, AcceptFn on_accep
 
 void Listener::Stop() {
   running_.store(false);
-  // The running_ flip bounds AcceptLoop's poll at 100 ms; once the thread
-  // is gone the listener closes without racing its reads of fd_.
+  // Shutting the listening socket down wakes AcceptLoop's poll at once
+  // (the running_ flip alone bounds it at 100 ms) and keeps the number
+  // owned; once the thread is gone the listener closes without racing its
+  // reads of fd_.
+  fd_.Shutdown();
   if (thread_.joinable()) thread_.join();
   fd_.Reset();
 }

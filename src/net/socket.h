@@ -78,8 +78,8 @@ class Listener {
   /// \brief Binds `host:port` ("0.0.0.0" = any; port 0 = ephemeral, see
   /// port()) and starts accepting.
   Status Start(const std::string& host, uint16_t port, AcceptFn on_accept);
-  /// \brief Joins the accept thread (its poll wakes every 100 ms), then
-  /// closes the listening socket. Idempotent.
+  /// \brief Shuts the listening socket down, which wakes the accept
+  /// thread, joins it, then closes the socket. Idempotent.
   void Stop();
 
   uint16_t port() const { return port_; }

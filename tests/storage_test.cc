@@ -41,6 +41,38 @@ TEST(Crc32Test, KnownVector) {
 
 TEST(Crc32Test, EmptyIsZero) { EXPECT_EQ(Crc32(ByteView{}), 0u); }
 
+/// The byte-at-a-time CRC-32 loop Crc32 used before slice-by-8: the
+/// oracle that keeps WAL and SSTable checksums byte-identical.
+uint32_t BytewiseCrc32(ByteView data, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseOnRandomSpans) {
+  // Random lengths at random (unaligned) offsets into one buffer, with
+  // random seeds and chained across a random split point.
+  crypto::Drbg rng(0xc3c32);
+  const Bytes buffer = rng.Generate(8192);
+  for (int i = 0; i < 2000; ++i) {
+    const size_t start = size_t(rng.NextBounded(64));
+    const size_t len = size_t(rng.NextBounded(buffer.size() - start + 1));
+    const ByteView span(buffer.data() + start, len);
+    const uint32_t seed = i % 2 == 0 ? 0 : uint32_t(rng.NextU64());
+    ASSERT_EQ(Crc32(span, seed), BytewiseCrc32(span, seed))
+        << "start " << start << " len " << len;
+    const size_t split = size_t(rng.NextBounded(len + 1));
+    ASSERT_EQ(Crc32(span.subspan(split), Crc32(span.subspan(0, split), seed)),
+              BytewiseCrc32(span, seed))
+        << "start " << start << " len " << len << " split " << split;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MemTable
 // ---------------------------------------------------------------------------
