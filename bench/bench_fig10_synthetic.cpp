@@ -83,9 +83,6 @@ int main() {
     for (const Config& config : kConfigs) {
       core::SystemOptions options;
       options.seed = 10'000 + uint64_t(&config - kConfigs);
-      // Both engines run behind the §5.2 pre-verification pipeline, so
-      // neither re-checks signatures in the execution phase.
-      options.public_engine.assume_preverified = true;
       auto sys = MustBootstrap(options);
       core::Client client(1, sys->pk_tx());
 
@@ -115,10 +112,9 @@ int main() {
               : sys->public_engine();
       // Pre-verification phase (§5.2) runs before ordering, overlapped
       // with the network: excluded from the execution-phase timing as in
-      // the paper's pipeline.
-      if (config.confidential) {
-        for (const chain::Transaction& tx : txs) (void)engine->PreVerify(tx);
-      }
+      // the paper's pipeline. Neither engine re-checks a signature in the
+      // execution phase that it pre-verified.
+      for (const chain::Transaction& tx : txs) (void)engine->PreVerify(tx);
       // Warm-up once (code cache), then measure.
       (void)engine->Execute(txs[0], sys->node()->state());
       row[config.label] = EngineTps(sys.get(), engine, txs);

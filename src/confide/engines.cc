@@ -153,7 +153,12 @@ Result<bool> PublicEngine::PreVerify(const chain::Transaction& tx) {
   if (tx.type != chain::TxType::kPublic) {
     return Status::InvalidArgument("public engine: wrong tx type");
   }
-  return crypto::EcdsaVerify(tx.sender, tx.SigningHash(), tx.signature);
+  if (!crypto::EcdsaVerify(tx.sender, tx.SigningHash(), tx.signature)) return false;
+  const crypto::Hash256 hash = tx.Hash();
+  std::lock_guard<std::mutex> lock(preverified_mu_);
+  if (preverified_.size() >= kMaxPreverified) preverified_.clear();
+  preverified_.insert(hash);
+  return true;
 }
 
 Result<chain::Receipt> PublicEngine::Execute(const chain::Transaction& tx,
@@ -170,8 +175,12 @@ Result<chain::Receipt> PublicEngine::Execute(const chain::Transaction& tx,
   chain::Receipt receipt;
   receipt.tx_hash = tx.Hash();
 
-  if (!options_.assume_preverified &&
-      !crypto::EcdsaVerify(tx.sender, tx.SigningHash(), tx.signature)) {
+  bool verified;
+  {
+    std::lock_guard<std::mutex> lock(preverified_mu_);
+    verified = preverified_.erase(receipt.tx_hash) > 0;
+  }
+  if (!verified && !crypto::EcdsaVerify(tx.sender, tx.SigningHash(), tx.signature)) {
     receipt.success = false;
     receipt.status_message = "bad signature";
     return receipt;

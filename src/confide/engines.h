@@ -6,9 +6,11 @@
 #pragma once
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "chain/engine.h"
 #include "confide/cs_enclave.h"
@@ -21,10 +23,6 @@ namespace confide::core {
 struct EngineOptions {
   bool enable_code_cache = true;
   bool enable_fusion = true;
-  /// When the platform pipeline guarantees transactions reached execution
-  /// through the verified pool (§5.2), the execution phase can skip the
-  /// redundant signature re-check, as production deployments do.
-  bool assume_preverified = false;
   uint64_t gas_limit = 400'000'000;
   uint32_t max_call_depth = 64;
 };
@@ -47,9 +45,28 @@ class PublicEngine : public chain::ExecutionEngine {
   vm::cvm::CvmStats cvm_stats() const { return cvm_.stats(); }
 
  private:
+  /// Bounds `preverified_`: a transaction that never executes on this
+  /// node (its block was applied elsewhere first) is forgotten once the
+  /// set fills, and then merely verified twice.
+  static constexpr size_t kMaxPreverified = 4096;
+
+  struct HashPrefix {
+    size_t operator()(const crypto::Hash256& h) const {
+      size_t v;
+      std::memcpy(&v, h.data(), sizeof v);
+      return v;
+    }
+  };
+
   EngineOptions options_;
   vm::cvm::CvmVm cvm_;
   vm::evm::EvmVm evm_;
+  /// Hashes of transactions whose signature PreVerify accepted and that
+  /// have not executed yet. The hash covers the signature and every
+  /// signed field, so Execute skips the check for them: the node that
+  /// pre-verified a block's transactions (the leader) checks each once.
+  std::mutex preverified_mu_;
+  std::unordered_set<crypto::Hash256, HashPrefix> preverified_;
 };
 
 /// \brief Confidential-Engine: the untrusted half of CONFIDE. Owns the

@@ -413,6 +413,36 @@ TEST_F(ConfideE2eTest, TamperedEnvelopeRejectedInPreVerify) {
   EXPECT_EQ(*verified, 0u);  // discarded
 }
 
+TEST_F(ConfideE2eTest, PublicSignatureIsCheckedOnceOnThePreVerifyingNode) {
+  metrics::Counter* verifies = metrics::GetCounter("crypto.ecdsa.verify.count");
+  chain::Address addr = NamedAddress("counter-once");
+  ASSERT_TRUE(sys_->node()
+                  ->SubmitTransaction(client_->MakePublicTx(
+                      addr, "__deploy__",
+                      chain::ContractRegistry::EncodeDeploy(chain::VmKind::kCvm,
+                                                            counter_code_)))
+                  .ok());
+  ASSERT_TRUE(
+      sys_->node()->SubmitTransaction(client_->MakePublicTx(addr, "increment", Bytes{})).ok());
+  const uint64_t before = verifies->Value();
+  auto receipts = sys_->RunToCompletion();
+  ASSERT_TRUE(receipts.ok());
+  ASSERT_EQ(receipts->size(), 2u);
+  EXPECT_TRUE((*receipts)[0].success && (*receipts)[1].success);
+  // PreVerify checked both; Execute took its word for them.
+  EXPECT_EQ(verifies->Value() - before, 2u);
+
+  // A node that did not pre-verify a transaction (a replica applying the
+  // leader's block) still checks it, and a forged signature still fails.
+  Transaction forged = client_->MakePublicTx(addr, "increment", Bytes{});
+  forged.signature[5] ^= 0x01;
+  auto receipt = sys_->public_engine()->Execute(forged, sys_->node()->state(), nullptr);
+  ASSERT_TRUE(receipt.ok());
+  EXPECT_FALSE(receipt->success);
+  EXPECT_EQ(receipt->status_message, "bad signature");
+  EXPECT_EQ(verifies->Value() - before, 3u);
+}
+
 TEST_F(ConfideE2eTest, PublicAndConfidentialCoexist) {
   chain::Address conf_addr = DeployCounter();
 
