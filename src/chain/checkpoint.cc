@@ -328,8 +328,8 @@ Status CheckpointManager::WriteCheckpoint(uint64_t height,
   };
 
   // Scan a sequence-pinned snapshot: the whole chunking pass runs without
-  // the store lock, so it cannot contend with the group-commit path while
-  // the node keeps finalizing blocks.
+  // the store lock, so it cannot contend with the commit path while the
+  // node keeps finalizing blocks.
   std::unique_ptr<storage::KvSnapshot> snapshot = kv_->GetSnapshot();
   std::unique_ptr<storage::KvIterator> it = snapshot->NewIterator();
   for (it->SeekToFirst(); it->Valid(); it->Next()) {

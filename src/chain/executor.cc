@@ -38,15 +38,36 @@ bool Intersects(const std::set<uint64_t>& a, const std::set<uint64_t>& b) {
   return false;
 }
 
-}  // namespace
-
-BlockExecutor::BlockExecutor(ExecutorOptions options) : options_(options) {
-  // A private pool is built once here — parallel blocks reuse it instead
-  // of spawning fresh threads per block.
-  if (options_.pool == nullptr && options_.parallelism > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.parallelism - 1);
+/// Runs one transaction against `parent` through its own overlay, so a
+/// failed tx discards only its own writes while earlier group writes
+/// survive. A transaction-level failure (trap, exhausted budget, crypto
+/// or missing-state error) becomes a success=false receipt; any other
+/// engine error is returned and aborts the block.
+Result<Receipt> ExecuteTx(const Transaction& tx, const EngineSet& engines,
+                          StateDb* parent, TxTouchSet* touch) {
+  OverlayStateDb txn(parent);
+  Result<Receipt> result = engines.Route(tx)->Execute(tx, &txn, touch);
+  if (result.ok()) {
+    if (result->success) (void)txn.Commit();
+    return result;
   }
+  const Status& status = result.status();
+  if (!status.IsVmTrap() && status.code() != StatusCode::kResourceExhausted &&
+      !status.IsCryptoError() && !status.IsNotFound()) {
+    return status;
+  }
+  Receipt receipt;
+  receipt.tx_hash = tx.Hash();
+  receipt.success = false;
+  receipt.status_message = status.ToString();
+  return receipt;
 }
+
+Status BlockAborted(const Status& cause) {
+  return Status::Internal("executor: block aborted: " + cause.ToString());
+}
+
+}  // namespace
 
 Result<std::map<uint64_t, std::vector<size_t>>> BlockExecutor::GroupByConflictKey(
     const std::vector<Transaction>& transactions, const EngineSet& engines) {
@@ -82,68 +103,42 @@ Result<std::vector<Receipt>> BlockExecutor::ExecuteBlock(
 
   std::atomic<size_t> next_group{0};
   std::atomic<bool> failed{false};
-  std::string failure;
+  Status failure;
   std::mutex failure_mutex;
 
   auto worker = [&] {
     for (;;) {
       size_t g = next_group.fetch_add(1);
       if (g >= group_list.size() || failed.load()) return;
-      OverlayStateDb& overlay = overlays[g];
       for (size_t index : group_list[g].second) {
-        const Transaction& tx = transactions[index];
-        ExecutionEngine* engine = engines.Route(tx);
-        // Per-transaction overlay so a failed tx discards only its own
-        // writes while earlier group writes survive.
-        OverlayStateDb txn(&overlay);
         TxTouchSet touch;
-        Result<Receipt> result = engine->Execute(tx, &txn, &touch);
+        Result<Receipt> receipt =
+            ExecuteTx(transactions[index], engines, &overlays[g], &touch);
         touches[g].reads.insert(touch.read_keys.begin(), touch.read_keys.end());
         touches[g].writes.insert(touch.written_keys.begin(),
                                  touch.written_keys.end());
-        Receipt receipt;
-        if (result.ok()) {
-          receipt = std::move(result).value();
-          if (receipt.success) {
-            (void)txn.Commit();
-          } else {
-            txn.Discard();
-          }
-        } else if (result.status().IsVmTrap() ||
-                   result.status().code() == StatusCode::kResourceExhausted ||
-                   result.status().IsCryptoError() ||
-                   result.status().IsNotFound()) {
-          // Transaction-level failure: record and continue.
-          txn.Discard();
-          receipt.tx_hash = tx.Hash();
-          receipt.success = false;
-          receipt.status_message = result.status().ToString();
-        } else {
-          // Engine/infrastructure failure: abort the block.
+        if (!receipt.ok()) {
           std::lock_guard<std::mutex> lock(failure_mutex);
-          failure = result.status().ToString();
+          failure = receipt.status();
           failed.store(true);
           return;
         }
-        receipts[index] = std::move(receipt);
+        receipts[index] = std::move(receipt).value();
       }
     }
   };
 
   uint32_t n_threads = std::max<uint32_t>(1, options_.parallelism);
-  ThreadPool* pool = options_.pool != nullptr ? options_.pool : owned_pool_.get();
-  if (n_threads == 1 || group_list.size() <= 1 || pool == nullptr) {
+  if (n_threads == 1 || group_list.size() <= 1 || options_.pool == nullptr) {
     worker();
   } else {
     // The calling thread is the n-th worker (inline run), so only
     // n_threads - 1 pool helpers are requested; a saturated pool simply
     // yields fewer helpers, never a deadlock.
-    pool->RunOnWorkers(n_threads - 1, worker);
+    options_.pool->RunOnWorkers(n_threads - 1, worker);
   }
 
-  if (failed.load()) {
-    return Status::Internal("executor: block aborted: " + failure);
-  }
+  if (failed.load()) return BlockAborted(failure);
 
   // Cross-group overlap check: nested calls can write a contract that a
   // *different* group also read or wrote, which the envelope-level
@@ -177,32 +172,11 @@ Result<std::vector<Receipt>> BlockExecutor::ExecuteBlock(
     overlays[g].Discard();
     OverlayStateDb redo(state);
     for (size_t index : group_list[g].second) {
-      const Transaction& tx = transactions[index];
-      ExecutionEngine* engine = engines.Route(tx);
       ExecutorMetrics::Get().reexecuted_txs->Increment();
-      OverlayStateDb txn(&redo);
-      Result<Receipt> result = engine->Execute(tx, &txn, nullptr);
-      Receipt receipt;
-      if (result.ok()) {
-        receipt = std::move(result).value();
-        if (receipt.success) {
-          (void)txn.Commit();
-        } else {
-          txn.Discard();
-        }
-      } else if (result.status().IsVmTrap() ||
-                 result.status().code() == StatusCode::kResourceExhausted ||
-                 result.status().IsCryptoError() ||
-                 result.status().IsNotFound()) {
-        txn.Discard();
-        receipt.tx_hash = tx.Hash();
-        receipt.success = false;
-        receipt.status_message = result.status().ToString();
-      } else {
-        return Status::Internal("executor: block aborted: " +
-                                result.status().ToString());
-      }
-      receipts[index] = std::move(receipt);
+      Result<Receipt> receipt =
+          ExecuteTx(transactions[index], engines, &redo, nullptr);
+      if (!receipt.ok()) return BlockAborted(receipt.status());
+      receipts[index] = std::move(receipt).value();
     }
     CONFIDE_RETURN_NOT_OK(redo.Commit());
   }

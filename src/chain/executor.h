@@ -11,7 +11,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "chain/engine.h"
@@ -21,9 +20,8 @@ namespace confide::chain {
 
 struct ExecutorOptions {
   uint32_t parallelism = 1;
-  /// Shared worker pool (the node's). When null and parallelism > 1 the
-  /// executor creates a private pool once at construction — never a
-  /// per-block thread spawn.
+  /// Shared worker pool (the node's). When null every group runs on the
+  /// calling thread.
   ThreadPool* pool = nullptr;
 };
 
@@ -33,7 +31,7 @@ struct ExecutorOptions {
 /// semantics — failures are recorded, not fatal).
 class BlockExecutor {
  public:
-  explicit BlockExecutor(ExecutorOptions options);
+  explicit BlockExecutor(ExecutorOptions options) : options_(options) {}
 
   Result<std::vector<Receipt>> ExecuteBlock(
       const std::vector<Transaction>& transactions, const EngineSet& engines,
@@ -48,7 +46,6 @@ class BlockExecutor {
 
  private:
   ExecutorOptions options_;
-  std::unique_ptr<ThreadPool> owned_pool_;  ///< used when options_.pool == nullptr
 };
 
 }  // namespace confide::chain

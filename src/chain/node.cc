@@ -103,7 +103,7 @@ Status Node::ResyncFromStore() {
 
 Status Node::RecoverChainTip() {
   // The WAL replay restored state, receipts and block bodies, but the
-  // height cursors and tip hash live in memory: rebuild them so a
+  // height cursor and tip hash live in memory: rebuild them so a
   // restarted node keeps extending the durable chain instead of starting
   // over at height 0.
   CONFIDE_RETURN_NOT_OK(blocks_->RecoverTip());
@@ -230,77 +230,6 @@ void Node::RequeueVerified(std::vector<Transaction> txs) {
   NodeMetrics::Get().verified_pool->Set(int64_t(verified_.size()));
 }
 
-/// A block between the two lifecycle steps: executed, its header completed
-/// (receipt and state roots) and its whole commit staged in one batch.
-struct Node::StagedBlock {
-  Block block;
-  crypto::Hash256 block_hash{};
-  storage::WriteBatch batch;
-  std::vector<Receipt> receipts;
-};
-
-Status Node::ExecuteAndStage(StagedBlock* staged) {
-  Block& block = staged->block;
-  {
-    metrics::ScopedLatencyTimer timer(NodeMetrics::Get().block_execute_latency);
-    auto executed =
-        executor_.ExecuteBlock(block.transactions, engines_, state_.get());
-    if (!executed.ok()) {
-      state_->Discard();  // partial overlay from failed groups
-      return executed.status();
-    }
-    staged->receipts = std::move(*executed);
-  }
-
-  // Receipts, the tx→block index, the state writes and the block itself
-  // land in ONE batch: the store applies a batch atomically (single WAL
-  // record), so any write failure — injected or real — leaves the chain
-  // exactly at the previous block.
-  uint8_t height_be[8];
-  StoreBe64(height_be, block.header.height);
-  std::vector<Bytes> receipt_leaves;
-  receipt_leaves.reserve(staged->receipts.size());
-  for (size_t i = 0; i < staged->receipts.size(); ++i) {
-    const crypto::Hash256 tx_hash = block.transactions[i].Hash();
-    staged->receipts[i].tx_hash = tx_hash;
-    Bytes wire = staged->receipts[i].Serialize();
-    staged->batch.Put(ReceiptKey(tx_hash), wire);
-    staged->batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
-    receipt_leaves.push_back(std::move(wire));
-  }
-  block.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
-  state_->StageCommit(&staged->batch, &block.header.state_root);
-  staged->block_hash = block.header.Hash();
-  return blocks_->StageAppend(block.header.height, staged->block_hash,
-                              block.Serialize(), &staged->batch);
-}
-
-Status Node::CommitGroup(std::vector<StagedBlock>* group, size_t* committed) {
-  *committed = 0;
-  for (StagedBlock& staged : *group) {
-    CONFIDE_RETURN_NOT_OK(kv_->Write(staged.batch));
-    // The commit rule: a block whose batch landed is final. Height, tip
-    // hash and state root advance now, so the in-memory view never
-    // trails what the store holds — and a block that is in the store is
-    // never executed again, even if the fsync below fails.
-    const crypto::Hash256& root = staged.block.header.state_root;
-    state_->FinalizeCommit(root);
-    blocks_->FinalizeAppend();
-    last_block_hash_ = staged.block_hash;
-    // The commit step is the only writer of the backing store, so a
-    // snapshot taken here sees exactly the committed prefix.
-    MaybeCheckpointTip(blocks_->NextHeight(), staged.block_hash, root);
-    const size_t txs = staged.block.transactions.size();
-    NodeMetrics::Get().blocks->Increment();
-    NodeMetrics::Get().block_txs->Increment(txs);
-    NodeMetrics::Get().txs_per_block->Observe(double(txs));
-    ++*committed;
-  }
-  // One fsync covers the whole group (group commit); the WAL counts the
-  // coalesced appends under storage.wal.group_commit.batched.
-  return options_.sync_commits ? kv_->Sync() : Status::OK();
-}
-
 Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
   if (fault::FaultInjector::Global().ShouldFail("fault.chain.apply_block")) {
     return Status::Unavailable("node: injected apply-block failure");
@@ -315,19 +244,65 @@ Result<std::vector<Receipt>> Node::ApplyBlock(const Block& block) {
     return Status::InvalidArgument("node: parent hash mismatch");
   }
 
-  std::vector<StagedBlock> group(1);
-  group[0].block = block;
-  size_t committed = 0;
-  Status status = ExecuteAndStage(&group[0]);
-  if (status.ok()) status = CommitGroup(&group, &committed);
-  if (committed == 0) {
-    // Nothing landed: drop the staged state and append, so a retry
-    // re-executes from the previous block.
-    state_->RollbackPending();
-    blocks_->RollbackStaged();
+  // The header gains its receipt and state roots below.
+  Block applied = block;
+  std::vector<Receipt> receipts;
+  {
+    metrics::ScopedLatencyTimer timer(NodeMetrics::Get().block_execute_latency);
+    auto executed =
+        executor_.ExecuteBlock(applied.transactions, engines_, state_.get());
+    if (!executed.ok()) {
+      state_->Discard();  // partial overlay from failed groups
+      return executed.status();
+    }
+    receipts = std::move(*executed);
   }
-  if (!status.ok()) return status;
-  return std::move(group[0].receipts);
+
+  // Receipts, the tx→block index, the state writes and the block itself
+  // land in ONE batch: the store applies a batch atomically (single WAL
+  // record), so any write failure — injected or real — leaves the chain
+  // exactly at the previous block.
+  storage::WriteBatch batch;
+  uint8_t height_be[8];
+  StoreBe64(height_be, applied.header.height);
+  std::vector<Bytes> receipt_leaves;
+  receipt_leaves.reserve(receipts.size());
+  for (size_t i = 0; i < receipts.size(); ++i) {
+    const crypto::Hash256 tx_hash = applied.transactions[i].Hash();
+    receipts[i].tx_hash = tx_hash;
+    Bytes wire = receipts[i].Serialize();
+    batch.Put(ReceiptKey(tx_hash), wire);
+    batch.Put(TxIndexKey(tx_hash), Bytes(height_be, height_be + 8));
+    receipt_leaves.push_back(std::move(wire));
+  }
+  applied.header.receipt_root = crypto::MerkleTree(receipt_leaves).Root();
+  state_->StageCommit(&batch, &applied.header.state_root);
+  const crypto::Hash256 block_hash = applied.header.Hash();
+  Status written = blocks_->StageAppend(applied.header.height, block_hash,
+                                        applied.Serialize(), &batch);
+  if (written.ok()) written = kv_->Write(batch);
+  if (!written.ok()) {
+    state_->Discard();  // nothing landed: a retry re-executes the block
+    return written;
+  }
+
+  // The commit rule: a block whose batch landed is final. Height, tip
+  // hash and state root advance now, so the in-memory view never trails
+  // what the store holds — and a block that is in the store is never
+  // executed again, even if the fsync below fails.
+  const crypto::Hash256& root = applied.header.state_root;
+  state_->FinalizeCommit(root);
+  blocks_->FinalizeAppend();
+  last_block_hash_ = block_hash;
+  // ApplyBlock is the only writer of the backing store, so a snapshot
+  // taken here sees exactly the committed prefix.
+  MaybeCheckpointTip(blocks_->NextHeight(), block_hash, root);
+  const size_t txs = applied.transactions.size();
+  NodeMetrics::Get().blocks->Increment();
+  NodeMetrics::Get().block_txs->Increment(txs);
+  NodeMetrics::Get().txs_per_block->Observe(double(txs));
+  if (options_.sync_commits) CONFIDE_RETURN_NOT_OK(kv_->Sync());
+  return receipts;
 }
 
 Result<std::vector<Receipt>> Node::RunToCompletion() {

@@ -27,8 +27,7 @@ struct NodeOptions {
   SimClock* clock = nullptr;
   /// Directory for the state-store WAL; empty = volatile state.
   std::string state_wal_dir;
-  /// fsync the store once per commit group (group commit): consecutive
-  /// blocks' log records coalesce into one device flush.
+  /// fsync the store once per block, after its batch lands.
   bool sync_commits = false;
   /// Stable-checkpoint production (checkpoint.h). interval == 0 disables.
   CheckpointOptions checkpoint;
@@ -138,26 +137,11 @@ class Node {
   Node(NodeOptions options, EngineSet engines,
        std::shared_ptr<storage::KvStore> kv);
 
-  struct StagedBlock;
-
-  /// \brief The execute/stage step: runs `staged->block` on the newest
-  /// staged state, stores its receipts, sets its receipt and state roots,
-  /// and stages receipts, tx index, state writes and block body into
-  /// `staged->batch`. Writes nothing. On failure the caller unwinds the
-  /// staged state (RollbackPending/RollbackStaged).
-  Status ExecuteAndStage(StagedBlock* staged);
-
-  /// \brief The commit step: writes each staged block's batch in order and
-  /// finalizes it as soon as it lands (the commit rule, see ApplyBlock),
-  /// then pays one optional fsync for the whole group.
-  /// `*committed` counts the blocks finalized, also on failure.
-  Status CommitGroup(std::vector<StagedBlock>* group, size_t* committed);
-
   /// \brief Parallel pre-verification of `txs` on the shared pool;
   /// `valid[i]` is set for transactions that passed.
   void PreVerifyBatch(std::vector<Transaction>* txs, std::vector<uint8_t>* valid);
 
-  /// \brief Restores the height cursors, tip hash and state root from the
+  /// \brief Restores the height cursor, tip hash and state root from the
   /// durable store after a restart (crash recovery).
   Status RecoverChainTip();
 

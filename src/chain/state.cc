@@ -16,12 +16,6 @@ Result<Bytes> CommitStateDb::Get(const Address& contract, ByteView key) const {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = overlay_.find(full_key);
     if (it != overlay_.end()) return it->second;
-    // Staged-but-not-yet-durable writes, newest generation first: a
-    // commit group executes block N+1 against block N's staged state.
-    for (auto gen = pending_.rbegin(); gen != pending_.rend(); ++gen) {
-      auto hit = gen->values.find(full_key);
-      if (hit != gen->values.end()) return hit->second;
-    }
   }
   return kv_->Get(full_key);
 }
@@ -42,31 +36,20 @@ std::vector<Result<Bytes>> CommitStateDb::GetMany(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t i = 0; i < keys.size(); ++i) {
-      std::string full_key = StateKey(keys[i].first, keys[i].second);
-      auto it = overlay_.find(full_key);
+      auto it = overlay_.find(StateKey(keys[i].first, keys[i].second));
       if (it != overlay_.end()) {
         out.push_back(it->second);
         continue;
       }
-      bool staged = false;
-      for (auto gen = pending_.rbegin(); gen != pending_.rend(); ++gen) {
-        auto hit = gen->values.find(full_key);
-        if (hit != gen->values.end()) {
-          out.push_back(hit->second);
-          staged = true;
-          break;
-        }
-      }
-      if (staged) continue;
       out.push_back(Status::NotFound("state: unresolved"));  // placeholder
       unresolved.push_back(i);
     }
   }
   if (!unresolved.empty()) {
     // One pinned snapshot answers every store-level miss. Taking it after
-    // the lock above is safe: FinalizeCommit drops a pending generation
-    // only after its batch landed in the store, so the snapshot can never
-    // be older than the staged state just consulted.
+    // the lock above is safe: FinalizeCommit clears the overlay only after
+    // its batch landed in the store, so the snapshot can never be older
+    // than the overlay just consulted.
     std::unique_ptr<storage::KvSnapshot> snapshot = kv_->GetSnapshot();
     for (size_t i : unresolved) {
       out[i] = snapshot->Get(StateKey(keys[i].first, keys[i].second));
@@ -87,66 +70,38 @@ size_t CommitStateDb::PendingWrites() const {
 }
 
 void CommitStateDb::StageCommit(storage::WriteBatch* batch,
-                                crypto::Hash256* new_root) {
+                                crypto::Hash256* new_root) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  PendingGeneration gen;
   if (overlay_.empty()) {
-    // An empty generation keeps the StageCommit/FinalizeCommit pairing
-    // 1:1, which is what lets the commit stage finalize blindly in FIFO
-    // order.
-    gen.root = staged_root_;
-    *new_root = staged_root_;
-    pending_.push_back(std::move(gen));
+    *new_root = state_root_;
     return;
   }
   crypto::Sha256 root_ctx;
-  root_ctx.Update(crypto::HashView(staged_root_));
-  for (auto& [key, value] : overlay_) {
+  root_ctx.Update(crypto::HashView(state_root_));
+  for (const auto& [key, value] : overlay_) {
     root_ctx.Update(AsByteView(key));
     root_ctx.Update(value);
-    batch->Put(key, value);  // copy: the pending generation keeps serving reads
+    batch->Put(key, value);  // copy: the overlay keeps serving reads
   }
-  gen.values = std::move(overlay_);
-  overlay_.clear();
-  gen.root = root_ctx.Finish();
-  staged_root_ = gen.root;
-  *new_root = gen.root;
-  pending_.push_back(std::move(gen));
+  *new_root = root_ctx.Finish();
 }
 
 void CommitStateDb::FinalizeCommit(const crypto::Hash256& new_root) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!pending_.empty()) pending_.pop_front();
-  state_root_ = new_root;
-  if (pending_.empty()) staged_root_ = state_root_;
-}
-
-void CommitStateDb::RollbackPending() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  pending_.clear();
   overlay_.clear();
-  staged_root_ = state_root_;
-}
-
-size_t CommitStateDb::PendingGenerations() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_.size();
+  state_root_ = new_root;
 }
 
 Status CommitStateDb::Commit() {
   storage::WriteBatch batch;
   crypto::Hash256 new_root;
   StageCommit(&batch, &new_root);
-  if (batch.ops().empty()) {
-    FinalizeCommit(new_root);  // pop the empty generation
-    return Status::OK();
-  }
-  Status written = kv_->Write(batch);
-  if (!written.ok()) {
-    // Drop the just-staged generation so the caller re-executes against
-    // the durable state.
-    RollbackPending();
-    return written;
+  if (!batch.ops().empty()) {
+    Status written = kv_->Write(batch);
+    if (!written.ok()) {
+      Discard();  // the caller re-executes against the durable state
+      return written;
+    }
   }
   FinalizeCommit(new_root);
   return Status::OK();
@@ -165,9 +120,7 @@ crypto::Hash256 CommitStateDb::StateRoot() const {
 void CommitStateDb::RestoreRoot(const crypto::Hash256& root) {
   std::lock_guard<std::mutex> lock(mutex_);
   overlay_.clear();
-  pending_.clear();
   state_root_ = root;
-  staged_root_ = root;
 }
 
 // ---------------------------------------------------------------------------

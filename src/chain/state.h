@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,13 +53,10 @@ class StateDb {
 
 /// \brief Canonical node state over a KvStore.
 ///
-/// Supports group commit with *staged generations*: each
-/// StageCommit moves the buffered overlay into a pending generation that
-/// stays readable (block N+1 executes against block N's staged-but-not-
-/// yet-durable writes) until the matching FinalizeCommit — called in
-/// stage order once the generation's batch landed — folds it into the
-/// durable root, or RollbackPending() drops every in-flight generation
-/// after a commit failure. ApplyBlock is the group-of-one case.
+/// Writes buffer in one overlay. A block commit stages the overlay into
+/// the block's batch (StageCommit); the overlay keeps serving reads until
+/// FinalizeCommit — called once the batch landed — clears it and adopts
+/// the new root, and Discard() is the rollback when the batch never lands.
 class CommitStateDb : public StateDb {
  public:
   explicit CommitStateDb(std::shared_ptr<storage::KvStore> kv) : kv_(std::move(kv)) {}
@@ -73,28 +69,16 @@ class CommitStateDb : public StateDb {
   void Discard() override;
   size_t PendingWrites() const override;
 
-  /// \brief Stages the buffered writes into `batch` and a new pending
-  /// generation, and reports the state root they chain to (from the
-  /// newest staged generation, so overlapped blocks chain correctly),
-  /// without touching the store. Once the batch is durably written call
-  /// FinalizeCommit(new_root); on a failed write call RollbackPending()
-  /// and re-execute. Lets the node fold state, receipts and block data
-  /// into one atomic KV write.
-  void StageCommit(storage::WriteBatch* batch, crypto::Hash256* new_root);
+  /// \brief Writes the buffered overlay into `batch` and reports the state
+  /// root it chains to, without touching the store or the overlay. Once
+  /// the batch is durably written call FinalizeCommit(new_root); if it
+  /// never lands call Discard(). Lets the node fold state, receipts and
+  /// block data into one atomic KV write.
+  void StageCommit(storage::WriteBatch* batch, crypto::Hash256* new_root) const;
 
-  /// \brief Completes the *oldest* staged generation after its batch
-  /// landed: drops its pending values (the store now serves them) and
-  /// adopts `new_root` as the durable root. Generations must finalize in
-  /// stage order.
+  /// \brief Completes a commit after its batch landed: drops the overlay
+  /// (the store now serves it) and adopts `new_root` as the durable root.
   void FinalizeCommit(const crypto::Hash256& new_root);
-
-  /// \brief Drops every staged-but-unfinalized generation and the overlay;
-  /// visible state reverts to the durable root. The unwind path when a
-  /// commit fails downstream of StageCommit.
-  void RollbackPending();
-
-  /// \brief Staged-but-unfinalized generations (tests).
-  size_t PendingGenerations() const;
 
   /// \brief Chained digest over all *durably committed* writes. (A
   /// production system would use a Merkle-Patricia trie; the chained
@@ -102,26 +86,19 @@ class CommitStateDb : public StateDb {
   /// §3.3.)
   crypto::Hash256 StateRoot() const;
 
-  /// \brief Adopts `root` as the durable root and drops the overlay and
-  /// every pending generation. The root is chained (not recomputable from
-  /// the store), so restart recovery and state sync restore it from the
-  /// tip block header after the backing store is in place.
+  /// \brief Adopts `root` as the durable root and drops the overlay. The
+  /// root is chained (not recomputable from the store), so restart
+  /// recovery and state sync restore it from the tip block header after
+  /// the backing store is in place.
   void RestoreRoot(const crypto::Hash256& root);
 
   storage::KvStore* backing() { return kv_.get(); }
 
  private:
-  struct PendingGeneration {
-    std::map<std::string, Bytes> values;  ///< readable until finalized
-    crypto::Hash256 root;                 ///< root this generation chains to
-  };
-
   std::shared_ptr<storage::KvStore> kv_;
   mutable std::mutex mutex_;
   std::map<std::string, Bytes> overlay_;
-  std::deque<PendingGeneration> pending_;  ///< oldest first
-  crypto::Hash256 state_root_{};           ///< durable root
-  crypto::Hash256 staged_root_{};          ///< root incl. pending generations
+  crypto::Hash256 state_root_{};  ///< durable root
 };
 
 /// \brief Scratch overlay for one transaction/group; Commit() merges into

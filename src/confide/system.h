@@ -41,7 +41,7 @@ struct SystemOptions {
   uint64_t recover_backoff_ns = 1'000'000;
   /// Directory for the node state WAL; empty = volatile state store.
   std::string state_wal_dir;
-  /// fsync once per commit group (WAL group commit).
+  /// fsync the state store once per block, after its batch lands.
   bool sync_commits = false;
   /// Stable-checkpoint production (chain::CheckpointOptions); the interval
   /// of 0 disables checkpointing.

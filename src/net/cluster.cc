@@ -271,7 +271,7 @@ std::optional<OwnedFrame> ClusterNode::OnQueryReceipt(ByteView body) {
 
 std::optional<OwnedFrame> ClusterNode::OnQueryStatus() {
   chain::Node* node = system_->node();
-  const crypto::Hash256 tip = node->TipHash();
+  const crypto::Hash256 tip = TipHash();
   serialize::RlpWriter w;
   size_t mark = w.BeginList();
   w.WriteU64(transport_->self_id());

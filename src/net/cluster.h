@@ -122,7 +122,12 @@ class ClusterNode {
   core::ConfideSystem* system() { return system_; }
 
   uint64_t Height() const { return system_->node()->Height(); }
-  crypto::Hash256 TipHash() const { return system_->node()->TipHash(); }
+  /// \brief Takes mu_: blocks apply under it, and the node's tip hash is
+  /// not otherwise synchronized.
+  crypto::Hash256 TipHash() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return system_->node()->TipHash();
+  }
 
   /// \brief 2f+1 with f = (n-1)/3.
   static size_t Quorum(size_t n) { return 2 * ((n - 1) / 3) + 1; }

@@ -16,12 +16,8 @@ std::string BlockStore::HashKey(const crypto::Hash256& hash) {
 
 Status BlockStore::StageAppend(uint64_t height, const crypto::Hash256& hash,
                                Bytes block, WriteBatch* batch) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (height != staged_height_) {
-      return Status::InvalidArgument("non-contiguous block height");
-    }
-    ++staged_height_;
+  if (height != NextHeight()) {
+    return Status::InvalidArgument("non-contiguous block height");
   }
   if (clock_ != nullptr) {
     clock_->AdvanceNs(ssd_.write_latency_ns +
@@ -39,19 +35,9 @@ void BlockStore::FinalizeAppend() {
   ++next_height_;
 }
 
-void BlockStore::RollbackStaged() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  staged_height_ = next_height_;
-}
-
 uint64_t BlockStore::NextHeight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return next_height_;
-}
-
-uint64_t BlockStore::NextStagedHeight() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return staged_height_;
 }
 
 Status BlockStore::RecoverTip() {
@@ -64,18 +50,13 @@ Status BlockStore::RecoverTip() {
   }
   std::lock_guard<std::mutex> lock(mutex_);
   next_height_ = height;
-  staged_height_ = height;
   return Status::OK();
 }
 
 Status BlockStore::Append(uint64_t height, const crypto::Hash256& hash, Bytes block) {
   WriteBatch batch;
   CONFIDE_RETURN_NOT_OK(StageAppend(height, hash, std::move(block), &batch));
-  Status written = kv_->Write(batch);
-  if (!written.ok()) {
-    RollbackStaged();
-    return written;
-  }
+  CONFIDE_RETURN_NOT_OK(kv_->Write(batch));
   FinalizeAppend();
   return Status::OK();
 }

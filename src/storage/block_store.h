@@ -34,21 +34,14 @@ class BlockStore {
   Status Append(uint64_t height, const crypto::Hash256& hash, Bytes block);
 
   /// \brief Stages an append into `batch` (height check + SSD latency
-  /// model) without writing, and advances the *staged* height cursor so
-  /// a commit group can stage block N+1 before block N's batch lands; call
-  /// FinalizeAppend() once the batch has been durably written, or
-  /// RollbackStaged() to abandon every staged-but-unwritten append. Lets
-  /// the node commit block data atomically with state and receipts.
+  /// model) without writing. `height` must be NextHeight(); call
+  /// FinalizeAppend() once the batch has been durably written. Lets the
+  /// node commit block data atomically with state and receipts.
   Status StageAppend(uint64_t height, const crypto::Hash256& hash, Bytes block,
                      WriteBatch* batch);
 
-  /// \brief Completes the oldest staged append (advances the durable
-  /// height cursor).
+  /// \brief Completes the staged append (advances the height cursor).
   void FinalizeAppend();
-
-  /// \brief Drops staged-but-unfinalized appends; the staged cursor
-  /// rewinds to the durable height (unwind after a failed commit).
-  void RollbackStaged();
 
   Result<Bytes> GetByHeight(uint64_t height) const;
   Result<Bytes> GetByHash(const crypto::Hash256& hash) const;
@@ -56,10 +49,7 @@ class BlockStore {
   /// \brief Number of durably stored blocks (next height to finalize).
   uint64_t NextHeight() const;
 
-  /// \brief Next height to stage (== NextHeight() when nothing in flight).
-  uint64_t NextStagedHeight() const;
-
-  /// \brief Rebuilds the height cursors from the underlying store after a
+  /// \brief Rebuilds the height cursor from the underlying store after a
   /// restart: blocks land in the same atomic batch as state and receipts,
   /// so the highest contiguous stored height IS the committed prefix.
   /// No-op on an empty (or volatile) store.
@@ -73,8 +63,7 @@ class BlockStore {
   SimClock* clock_;
   SsdModel ssd_;
   mutable std::mutex mutex_;
-  uint64_t next_height_ = 0;    ///< durable
-  uint64_t staged_height_ = 0;  ///< includes in-flight appends
+  uint64_t next_height_ = 0;  ///< durable
 };
 
 }  // namespace confide::storage

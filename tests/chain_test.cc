@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 
 #include "chain/checkpoint.h"
 #include "chain/executor.h"
@@ -306,6 +307,91 @@ TEST(StateDbTest, StateRootChangesWithCommits) {
   EXPECT_EQ(other.StateRoot(), r1);
 }
 
+TEST(StateDbTest, StateRootIsTheChainedDigestOfSortedWrites) {
+  // root' = SHA-256(root || key1 || value1 || key2 || value2 ...) over one
+  // commit's writes in key order; a commit without writes keeps the root.
+  // Replicas and a restarted node (which restores the root from its tip
+  // header) must agree on this formula byte for byte, so it is pinned.
+  CommitStateDb state(MakeKv());
+  state.Put(NamedAddress("b"), AsByteView("k2"), ToBytes(std::string_view("v2")));
+  state.Put(NamedAddress("a"), AsByteView("k1"), ToBytes(std::string_view("v1")));
+  ASSERT_TRUE(state.Commit().ok());
+  const crypto::Hash256 r1 = state.StateRoot();
+
+  std::map<std::string, std::string> sorted = {
+      {StateDb::StateKey(NamedAddress("a"), AsByteView("k1")), "v1"},
+      {StateDb::StateKey(NamedAddress("b"), AsByteView("k2")), "v2"}};
+  crypto::Sha256 expected;
+  expected.Update(crypto::HashView(crypto::Hash256{}));
+  for (const auto& [key, value] : sorted) {
+    expected.Update(AsByteView(key));
+    expected.Update(AsByteView(value));
+  }
+  EXPECT_EQ(r1, expected.Finish());
+
+  ASSERT_TRUE(state.Commit().ok());  // empty commit
+  EXPECT_EQ(state.StateRoot(), r1);
+
+  state.Put(NamedAddress("a"), AsByteView("k1"), ToBytes(std::string_view("v3")));
+  ASSERT_TRUE(state.Commit().ok());
+  EXPECT_EQ(HexEncode(crypto::HashView(state.StateRoot())),
+            "0fa234015af929519a012cda0cb4edf88d4e1384dc6c7987d930e0f1ade5d854");
+}
+
+TEST(StateDbTest, StagedWritesStayReadableUntilFinalizeAndDiscardReverts) {
+  auto kv = MakeKv();
+  CommitStateDb state(kv);
+  Address c = NamedAddress("c");
+  state.Put(c, AsByteView("k1"), ToBytes(std::string_view("v1")));
+  ASSERT_TRUE(state.Commit().ok());
+  const crypto::Hash256 durable = state.StateRoot();
+
+  auto stage = [&](storage::WriteBatch* batch) {
+    state.Put(c, AsByteView("k1"), ToBytes(std::string_view("v2")));
+    state.Put(c, AsByteView("k2"), ToBytes(std::string_view("w")));
+    crypto::Hash256 root;
+    state.StageCommit(batch, &root);
+    return root;
+  };
+  auto read = [&](std::string_view key) {
+    auto value = state.Get(c, AsByteView(key));
+    return value.ok() ? ToString(*value) : value.status().ToString();
+  };
+
+  storage::WriteBatch first;
+  const crypto::Hash256 staged_root = stage(&first);
+  EXPECT_NE(staged_root, durable);
+  EXPECT_EQ(first.ops().size(), 2u);
+  // The block's writes stay readable (Get and GetMany) until finalized,
+  // while the state root stays the durable one.
+  EXPECT_EQ(read("k1"), "v2");
+  EXPECT_EQ(read("k2"), "w");
+  auto many = state.GetMany({{c, ToBytes(std::string_view("k1"))},
+                             {c, ToBytes(std::string_view("k2"))}});
+  ASSERT_TRUE(many[0].ok() && many[1].ok());
+  EXPECT_EQ(ToString(*many[0]), "v2");
+  EXPECT_EQ(ToString(*many[1]), "w");
+  EXPECT_EQ(state.StateRoot(), durable);
+
+  // Discard is the rollback: reads and the root return to the durable state.
+  state.Discard();
+  EXPECT_EQ(read("k1"), "v1");
+  EXPECT_TRUE(state.Get(c, AsByteView("k2")).status().IsNotFound());
+  EXPECT_EQ(state.StateRoot(), durable);
+  EXPECT_EQ(state.PendingWrites(), 0u);
+
+  // Re-staging the same writes gives the same root; once the batch lands
+  // and is finalized, the store serves the writes.
+  storage::WriteBatch second;
+  EXPECT_EQ(stage(&second), staged_root);
+  ASSERT_TRUE(kv->Write(second).ok());
+  state.FinalizeCommit(staged_root);
+  EXPECT_EQ(state.PendingWrites(), 0u);
+  EXPECT_EQ(state.StateRoot(), staged_root);
+  EXPECT_EQ(read("k1"), "v2");
+  EXPECT_EQ(read("k2"), "w");
+}
+
 TEST(StateDbTest, OverlayStateDbMergesOnCommitOnly) {
   CommitStateDb base(MakeKv());
   Address c = NamedAddress("c");
@@ -377,7 +463,8 @@ TEST(ExecutorTest, ExecutesAllAndCollectsReceiptsInOrder) {
     txs.push_back(MakeSignedTx(&rng, NamedAddress("c" + std::to_string(i % 3)),
                                "write", ToBytes("key-" + std::to_string(i))));
   }
-  BlockExecutor executor(ExecutorOptions{4});
+  ThreadPool pool(3);
+  BlockExecutor executor(ExecutorOptions{4, &pool});
   auto receipts = executor.ExecuteBlock(txs, engines, &state);
   ASSERT_TRUE(receipts.ok()) << receipts.status().ToString();
   ASSERT_EQ(receipts->size(), 10u);
@@ -428,7 +515,8 @@ TEST(ExecutorTest, ParallelAndSerialProduceSameState) {
     ScriptEngine engine;
     EngineSet engines{&engine, &engine};
     CommitStateDb state(MakeKv());
-    BlockExecutor executor(ExecutorOptions{parallelism});
+    ThreadPool pool(parallelism - 1);
+    BlockExecutor executor(ExecutorOptions{parallelism, &pool});
     EXPECT_TRUE(executor.ExecuteBlock(txs, engines, &state).ok());
     EXPECT_TRUE(state.Commit().ok());
     return state.StateRoot();
@@ -450,7 +538,8 @@ TEST(ExecutorTest, CrossGroupSharedWriteReExecutesSerially) {
   ScriptEngine engine;
   EngineSet engines{&engine, &engine};
   CommitStateDb state(MakeKv());
-  BlockExecutor executor(ExecutorOptions{/*parallelism=*/4});
+  ThreadPool pool(3);
+  BlockExecutor executor(ExecutorOptions{/*parallelism=*/4, &pool});
   auto receipts = executor.ExecuteBlock(txs, engines, &state);
   ASSERT_TRUE(receipts.ok());
   EXPECT_TRUE((*receipts)[0].success);

@@ -108,7 +108,9 @@ TEST(MemTableTest, ForEachVisitsInKeyOrder) {
   std::string prev;
   bool first = true;
   mem.ForEach([&](const std::string& key, const std::optional<Bytes>&) {
-    if (!first) EXPECT_LT(prev, key);
+    if (!first) {
+      EXPECT_LT(prev, key);
+    }
     prev = key;
     first = false;
   });
@@ -1145,12 +1147,11 @@ TEST(BlockStoreTest, RecoverTipRebuildsCursorsFromStore) {
     ASSERT_TRUE(blocks.Append(0, crypto::Sha256::Digest(b0), b0).ok());
     ASSERT_TRUE(blocks.Append(1, crypto::Sha256::Digest(b1), b1).ok());
   }
-  // A fresh BlockStore over the same kv models a restart: cursors reset.
+  // A fresh BlockStore over the same kv models a restart: the cursor resets.
   BlockStore recovered(kv);
   EXPECT_EQ(recovered.NextHeight(), 0u);
   ASSERT_TRUE(recovered.RecoverTip().ok());
   EXPECT_EQ(recovered.NextHeight(), 2u);
-  EXPECT_EQ(recovered.NextStagedHeight(), 2u);
   // Appending continues from the recovered tip.
   Bytes b2 = ToBytes(std::string_view("block2"));
   EXPECT_TRUE(recovered.Append(2, crypto::Sha256::Digest(b2), b2).ok());
