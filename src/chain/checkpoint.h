@@ -100,8 +100,6 @@ class ValidatorSet {
   /// \brief 2f+1 for n = 3f+1 replicas (rounded to a majority for other n).
   size_t QuorumSize() const;
 
-  const crypto::PublicKey& PublicKeyOf(size_t i) const { return keys_[i].pub; }
-
   /// \brief Signs the manifest digest with the first QuorumSize()
   /// validators (the simulated quorum).
   Result<CheckpointCertificate> Certify(const CheckpointManifest& manifest) const;

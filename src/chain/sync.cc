@@ -56,11 +56,10 @@ struct SyncMetrics {
 // SyncProvider
 // ---------------------------------------------------------------------------
 
-SyncProvider::SyncProvider(std::string name, Node* node, NetworkSim* net,
-                           uint32_t node_id)
-    : name_(std::move(name)), node_(node), net_(net), node_id_(node_id) {}
+SyncProvider::SyncProvider(std::string name, Node* node)
+    : name_(std::move(name)), node_(node) {}
 
-Status SyncProvider::CheckReachable(uint32_t requester) const {
+Status SyncProvider::CheckReachable() const {
   if (dead_.load(std::memory_order_relaxed)) {
     return Status::Unavailable("sync: provider " + name_ + " is dead");
   }
@@ -71,22 +70,12 @@ Status SyncProvider::CheckReachable(uint32_t requester) const {
     return Status::Unavailable("sync: provider " + name_ +
                                " died (injected)");
   }
-  if (net_ != nullptr && !net_->Reachable(requester, node_id_)) {
-    return Status::Unavailable("sync: provider " + name_ +
-                               " unreachable (partitioned)");
-  }
   return Status::OK();
 }
 
-void SyncProvider::ChargeTransfer(uint32_t requester, SimClock* clock,
-                                  uint64_t bytes) const {
-  if (net_ == nullptr || clock == nullptr) return;
-  clock->AdvanceNs(net_->TransferNs(node_id_, requester, bytes));
-}
-
 Result<std::pair<CheckpointManifest, CheckpointCertificate>>
-SyncProvider::LatestCheckpoint(uint32_t requester, SimClock* clock) const {
-  CONFIDE_RETURN_NOT_OK(CheckReachable(requester));
+SyncProvider::LatestCheckpoint() const {
+  CONFIDE_RETURN_NOT_OK(CheckReachable());
   CheckpointManager* manager = node_->checkpoints();
   if (manager == nullptr || manager->LatestHeight() == 0) {
     return Status::NotFound("sync: provider " + name_ + " has no checkpoint");
@@ -122,14 +111,11 @@ SyncProvider::LatestCheckpoint(uint32_t requester, SimClock* clock) const {
       if (recertified.ok()) certificate = std::move(*recertified);
     }
   }
-  ChargeTransfer(requester, clock,
-                 manifest.Serialize().size() + certificate.Serialize().size());
   return std::make_pair(std::move(manifest), std::move(certificate));
 }
 
-Result<Bytes> SyncProvider::FetchChunk(uint32_t requester, SimClock* clock,
-                                       uint64_t height, size_t index) const {
-  CONFIDE_RETURN_NOT_OK(CheckReachable(requester));
+Result<Bytes> SyncProvider::FetchChunk(uint64_t height, size_t index) const {
+  CONFIDE_RETURN_NOT_OK(CheckReachable());
   CheckpointManager* manager = node_->checkpoints();
   if (manager == nullptr) {
     return Status::NotFound("sync: provider " + name_ + " has no checkpoint");
@@ -155,20 +141,16 @@ Result<Bytes> SyncProvider::FetchChunk(uint32_t requester, SimClock* clock,
       fault::FaultInjector::Global().ShouldFail(kFaultChunkCorrupt)) {
     payload[payload.size() / 2] ^= 0x01;  // bit flip in transit
   }
-  ChargeTransfer(requester, clock, payload.size());
   return payload;
 }
 
-Result<Bytes> SyncProvider::FetchBlock(uint32_t requester, SimClock* clock,
-                                       uint64_t height) const {
-  CONFIDE_RETURN_NOT_OK(CheckReachable(requester));
-  CONFIDE_ASSIGN_OR_RETURN(Bytes wire, node_->blocks()->GetByHeight(height));
-  ChargeTransfer(requester, clock, wire.size());
-  return wire;
+Result<Bytes> SyncProvider::FetchBlock(uint64_t height) const {
+  CONFIDE_RETURN_NOT_OK(CheckReachable());
+  return node_->blocks()->GetByHeight(height);
 }
 
-Result<uint64_t> SyncProvider::TipHeight(uint32_t requester) const {
-  CONFIDE_RETURN_NOT_OK(CheckReachable(requester));
+Result<uint64_t> SyncProvider::TipHeight() const {
+  CONFIDE_RETURN_NOT_OK(CheckReachable());
   return node_->Height();
 }
 
@@ -189,7 +171,7 @@ common::RetryOptions StateSyncClient::RotationRetryOptions() const {
   // registered provider takes providers_.size() attempts — with N dead
   // providers ahead of the one live one, max_attempts == N stops exactly
   // one rotation short of it. Guarantee at least one attempt per provider.
-  common::RetryOptions effective = options_.retry;
+  common::RetryOptions effective = kSyncRetry;
   effective.max_attempts = std::max<uint32_t>(
       effective.max_attempts, static_cast<uint32_t>(providers_.size()));
   return effective;
@@ -264,8 +246,7 @@ Result<StateSyncClient::CheckpointChoice> StateSyncClient::DiscoverCheckpoint(
   CheckpointChoice best;
   const uint64_t own_height = node_->Height();
   for (size_t i = 0; i < providers_.size(); ++i) {
-    auto checkpoint = providers_[i]->LatestCheckpoint(options_.client_node_id,
-                                                      options_.clock);
+    auto checkpoint = providers_[i]->LatestCheckpoint();
     if (!checkpoint.ok()) continue;  // no checkpoint / unreachable: skip
     CheckpointManifest& manifest = checkpoint->first;
     const CheckpointCertificate& certificate = checkpoint->second;
@@ -320,13 +301,12 @@ Result<Bytes> StateSyncClient::FetchVerifiedChunk(
   Bytes verified;
   Status status = retry.Run("sync chunk fetch", [&]() -> Status {
     SyncProvider* provider = providers_[current_provider_];
-    auto fetched = provider->FetchChunk(options_.client_node_id,
-                                        options_.clock, manifest.height, index);
+    auto fetched = provider->FetchChunk(manifest.height, index);
     ++stats->chunks_fetched;
     sm.chunks_fetched->Increment();
     if (!fetched.ok()) {
-      // Dropped in transit, provider dead, partitioned, or the provider
-      // pruned this checkpoint: try the next provider (same manifest —
+      // Dropped in transit, provider dead, or the provider pruned this
+      // checkpoint: try the next provider (same manifest —
       // correct replicas serve byte-identical chunk sets).
       RotateProvider(stats);
       return fetched.status();
@@ -436,7 +416,7 @@ Status StateSyncClient::ReplayBlocks(SyncStats* stats) {
   const SyncMetrics& sm = SyncMetrics::Get();
   uint64_t tip = node_->Height();
   for (SyncProvider* provider : providers_) {
-    auto height = provider->TipHeight(options_.client_node_id);
+    auto height = provider->TipHeight();
     if (height.ok()) tip = std::max(tip, *height);
   }
 
@@ -445,8 +425,7 @@ Status StateSyncClient::ReplayBlocks(SyncStats* stats) {
     common::RetryPolicy retry(RotationRetryOptions(), options_.clock);
     Bytes wire;
     Status fetched = retry.Run("sync block fetch", [&]() -> Status {
-      auto block = providers_[current_provider_]->FetchBlock(
-          options_.client_node_id, options_.clock, height);
+      auto block = providers_[current_provider_]->FetchBlock(height);
       if (!block.ok()) {
         RotateProvider(stats);
         return block.status();

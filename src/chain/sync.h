@@ -23,10 +23,12 @@
 ///      every block that the locally recomputed tip hash equals the
 ///      provider's block hash (execution divergence fails loudly).
 ///
-/// Chunk and block fetches ride a shared common::RetryPolicy (jittered
-/// exponential backoff); a provider that stops responding mid-stream is
-/// failed over to the next one. All steps carry `fault.chain.sync.*`
-/// injection sites and `chain.sync.*` metrics (docs/METRICS.md).
+/// Chunk and block fetches ride a shared common::RetryPolicy (exponential
+/// backoff, kSyncRetry); a provider that stops responding mid-stream is
+/// failed over to the next one. Providers are called in process: sync
+/// models no link time, and a provider is reachable until it dies. All
+/// steps carry `fault.chain.sync.*` injection sites and `chain.sync.*`
+/// metrics (docs/METRICS.md).
 
 #pragma once
 
@@ -37,19 +39,18 @@
 #include <vector>
 
 #include "chain/checkpoint.h"
-#include "chain/network.h"
 #include "chain/node.h"
 #include "common/retry.h"
 
 namespace confide::chain {
 
+/// \brief Retry/backoff for chunk and block fetches (and provider
+/// failover); widened to one attempt per registered provider.
+inline constexpr common::RetryOptions kSyncRetry{};
+
 /// \brief Knobs for one StateSyncClient.
 struct SyncOptions {
-  /// Retry/backoff for chunk and block fetches (and provider failover).
-  common::RetryOptions retry;
-  /// NetworkSim node id of the joining replica (transfer-time modelling).
-  uint32_t client_node_id = 0;
-  /// Clock charged with modelled transfer time and retry backoff.
+  /// Clock charged with the retry backoff; nullptr = real sleep.
   SimClock* clock = nullptr;
   /// Invoked once at sync start, before chunk transfer and block replay:
   /// the hook that re-provisions the CS enclave's consortium keys when
@@ -75,14 +76,11 @@ struct SyncStats {
 };
 
 /// \brief Serving side of state sync: wraps a live peer's node +
-/// checkpoint manager behind the NetworkSim link model and the
-/// `fault.chain.sync.*` injection sites. Thread-compatible.
+/// checkpoint manager behind the `fault.chain.sync.*` injection sites.
+/// Thread-compatible.
 class SyncProvider {
  public:
-  /// \brief `net` may be null (no reachability/transfer modelling);
-  /// `node_id` is this provider's NetworkSim placement.
-  SyncProvider(std::string name, Node* node, NetworkSim* net = nullptr,
-               uint32_t node_id = 0);
+  SyncProvider(std::string name, Node* node);
 
   const std::string& name() const { return name_; }
 
@@ -90,21 +88,19 @@ class SyncProvider {
   /// checkpointed. Under `fault.chain.sync.forged_certificate` the served
   /// certificate is tampered; under `fault.chain.sync.stale_certificate`
   /// the oldest retained checkpoint is served as if it were the latest.
-  Result<std::pair<CheckpointManifest, CheckpointCertificate>> LatestCheckpoint(
-      uint32_t requester, SimClock* clock) const;
+  Result<std::pair<CheckpointManifest, CheckpointCertificate>> LatestCheckpoint()
+      const;
 
   /// \brief Chunk `index` of the checkpoint at `height`. Injection sites:
   /// `chunk_drop` (lost in transit), `chunk_corrupt` (bit flip),
   /// `provider_dead` (this and every later request fails).
-  Result<Bytes> FetchChunk(uint32_t requester, SimClock* clock, uint64_t height,
-                           size_t index) const;
+  Result<Bytes> FetchChunk(uint64_t height, size_t index) const;
 
   /// \brief Serialized block at `height` (replay source).
-  Result<Bytes> FetchBlock(uint32_t requester, SimClock* clock,
-                           uint64_t height) const;
+  Result<Bytes> FetchBlock(uint64_t height) const;
 
   /// \brief The peer's durable chain height.
-  Result<uint64_t> TipHeight(uint32_t requester) const;
+  Result<uint64_t> TipHeight() const;
 
   /// \brief True once the provider died (injected); all requests fail.
   bool dead() const { return dead_.load(std::memory_order_relaxed); }
@@ -114,17 +110,11 @@ class SyncProvider {
   void Kill() { dead_.store(true, std::memory_order_relaxed); }
 
  private:
-  /// \brief Dead-flag + injected-death + partition check shared by every
-  /// request.
-  Status CheckReachable(uint32_t requester) const;
-
-  /// \brief Charges the modelled transfer time for `bytes` to `clock`.
-  void ChargeTransfer(uint32_t requester, SimClock* clock, uint64_t bytes) const;
+  /// \brief Dead-flag + injected-death check shared by every request.
+  Status CheckReachable() const;
 
   std::string name_;
   Node* node_;
-  NetworkSim* net_;
-  uint32_t node_id_;
   mutable std::atomic<bool> dead_{false};
   /// Pinned store view the current transfer is served from (one per
   /// checkpoint height): chunk reads bypass the store lock entirely and

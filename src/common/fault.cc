@@ -42,15 +42,6 @@ void FaultInjector::Arm(const std::string& site, Trigger trigger) {
   s.fired = 0;
 }
 
-void FaultInjector::Disarm(const std::string& site) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = sites_.find(site);
-  if (it != sites_.end() && it->second.armed) {
-    it->second.armed = false;
-    armed_count_.fetch_sub(1, std::memory_order_relaxed);
-  }
-}
-
 void FaultInjector::DisarmAll() {
   std::lock_guard<std::mutex> lock(mutex_);
   sites_.clear();

@@ -60,9 +60,6 @@ class FaultInjector {
   /// hit/fire counts.
   void Arm(const std::string& site, Trigger trigger);
 
-  /// \brief Disarms one site (its counters are kept for inspection).
-  void Disarm(const std::string& site);
-
   /// \brief Disarms every site and drops all per-site counters.
   void DisarmAll();
 
@@ -107,11 +104,6 @@ class FaultPlan {
 
   FaultPlan& Arm(const std::string& site, Trigger trigger = Trigger{}) {
     FaultInjector::Global().Arm(site, trigger);
-    return *this;
-  }
-
-  FaultPlan& Disarm(const std::string& site) {
-    FaultInjector::Global().Disarm(site);
     return *this;
   }
 };

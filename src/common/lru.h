@@ -66,11 +66,6 @@ class LruCache {
     return true;
   }
 
-  void Clear() {
-    order_.clear();
-    index_.clear();
-  }
-
   size_t size() const { return index_.size(); }
   size_t capacity() const { return capacity_; }
 

@@ -377,7 +377,7 @@ class SdmEnv : public vm::HostEnv {
 
   Result<Bytes> CallContract(ByteView address, ByteView input) override {
     ++stats_->contract_calls;
-    if (depth_ + 1 >= options_.max_call_depth) {
+    if (depth_ + 1 >= kMaxCallDepth) {
       return Status::VmTrap("sdm: call depth exceeded");
     }
     if (address.size() != contract_.size()) {

@@ -58,6 +58,10 @@ enum CsOcall : uint64_t {
   kOcallSetStateBatch = 33,
 };
 
+/// \brief Cross-contract call depth limit of both engines (nested
+/// CallContract frames per transaction).
+inline constexpr uint32_t kMaxCallDepth = 64;
+
 /// \brief Feature toggles matching the paper's optimization ladder.
 struct CsOptions {
   bool enable_preverify_cache = true;   ///< OPT3 (§5.2)
@@ -77,11 +81,8 @@ struct CsOptions {
   /// and freshness ecalls always marshal copy-in/out.
   tee::PointerSemantics ocall_semantics = tee::PointerSemantics::kUserCheck;
   uint64_t gas_limit = 400'000'000;
-  uint32_t max_call_depth = 64;
   /// LRU capacity of the OPT3 pre-verification cache (entries).
   uint32_t preverify_cache_capacity = 4096;
-  /// LRU capacity of the per-contract read-set prefetch profiles.
-  uint32_t readset_profile_capacity = 128;
 };
 
 /// \brief Result of one in-enclave execution, as returned to the host.
@@ -120,7 +121,7 @@ class CsEnclave : public tee::Enclave {
       : seed_(seed),
         options_(options),
         meta_cache_(options.preverify_cache_capacity),
-        readset_profiles_(options.readset_profile_capacity) {}
+        readset_profiles_(kReadsetProfileCapacity) {}
 
   std::string CodeIdentity() const override { return "confide-cs-enclave"; }
   uint64_t SecurityVersion() const override { return 1; }
@@ -175,6 +176,8 @@ class CsEnclave : public tee::Enclave {
     };
     std::vector<Entry> keys;
   };
+  /// LRU capacity of the per-contract read-set profiles.
+  static constexpr uint32_t kReadsetProfileCapacity = 128;
   std::mutex profile_mutex_;
   LruCache<std::string, ReadSetProfile> readset_profiles_;
 

@@ -92,7 +92,7 @@ class PlainEnv : public vm::HostEnv {
   void EmitLog(ByteView data) override { logs.push_back(ToBytes(data)); }
 
   Result<Bytes> CallContract(ByteView address, ByteView input) override {
-    if (depth_ + 1 >= options_.max_call_depth) {
+    if (depth_ + 1 >= kMaxCallDepth) {
       return Status::VmTrap("public: call depth exceeded");
     }
     if (address.size() != contract_.size()) {

@@ -24,7 +24,6 @@ struct EngineOptions {
   bool enable_code_cache = true;
   bool enable_fusion = true;
   uint64_t gas_limit = 400'000'000;
-  uint32_t max_call_depth = 64;
 };
 
 /// \brief Public-Engine: verifies and executes TYPE=0 transactions

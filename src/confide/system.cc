@@ -18,7 +18,7 @@ Result<std::unique_ptr<ConfideSystem>> ConfideSystem::BootstrapCommon(
   std::unique_ptr<ConfideSystem> sys(new ConfideSystem());
   sys->options_ = options;
   sys->platform_ = std::make_unique<tee::EnclavePlatform>(
-      options.tee_model, &sys->clock_, options.seed);
+      tee::TeeCostModel{}, &sys->clock_, options.seed);
 
   // 1. KM enclave.
   sys->km_ = std::make_shared<KmEnclave>(options.seed);
@@ -261,7 +261,7 @@ Status ConfideSystem::RecoverConfidentialEngine() {
   }
   common::RetryOptions retry_options;
   retry_options.max_attempts = options_.recover_max_retries;
-  retry_options.base_backoff_ns = options_.recover_backoff_ns;
+  retry_options.base_backoff_ns = kRecoverBackoffNs;
   retry_options.multiplier = 2.0;
   retry_options.seed = options_.seed;
   common::RetryPolicy retry(retry_options, &clock_);  // modelled backoff

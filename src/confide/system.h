@@ -24,21 +24,22 @@
 
 namespace confide::core {
 
+/// \brief Base backoff between RecoverConfidentialEngine() attempts;
+/// doubles per retry. Charged to the node's SimClock (modelled, not wall
+/// time).
+inline constexpr uint64_t kRecoverBackoffNs = 1'000'000;
+
 struct SystemOptions {
   uint32_t parallelism = 1;
   size_t block_max_bytes = 4096;
   CsOptions cs;
   EngineOptions public_engine;
-  tee::TeeCostModel tee_model;
   uint64_t seed = 1;
   /// Destroy the KM enclave after provisioning (paper default). Keep it
   /// alive only when later MAP provisioning of other nodes is expected.
   bool destroy_km_after_provision = true;
   /// Attempts per RecoverConfidentialEngine() call before giving up.
   uint32_t recover_max_retries = 4;
-  /// Base backoff between recovery attempts; doubles per retry. Charged
-  /// to the node's SimClock (modelled, not wall time).
-  uint64_t recover_backoff_ns = 1'000'000;
   /// Directory for the node state WAL; empty = volatile state store.
   std::string state_wal_dir;
   /// fsync the state store once per block, after its batch lands.

@@ -39,7 +39,6 @@ class MerkleTree {
   explicit MerkleTree(const std::vector<Bytes>& leaves);
 
   const Hash256& Root() const { return levels_.back()[0]; }
-  size_t LeafCount() const { return leaf_count_; }
 
   /// \brief Produces an inclusion proof for leaf `index`.
   Result<MerkleProof> Prove(size_t index) const;

@@ -1022,9 +1022,9 @@ Status ClusterNode::CatchUp(uint32_t peer) {
     const uint64_t generation = fetch_generation_;
     // A gap fetch already in flight is waited on like our own.
     CONFIDE_RETURN_NOT_OK(
-        FetchBlocksLocked(peer, before, before + kFetchBatchBlocks, options_.fetch_wait_ms));
+        FetchBlocksLocked(peer, before, before + kFetchBatchBlocks, kFetchWaitMs));
     const bool got_reply = cv_.wait_for(
-        lock, std::chrono::milliseconds(options_.fetch_wait_ms),
+        lock, std::chrono::milliseconds(kFetchWaitMs),
         [&] { return fetch_generation_ != generation; });
     if (!got_reply) {
       fetch_deadline_ns_ = 0;

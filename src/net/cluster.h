@@ -66,6 +66,11 @@ namespace confide::net {
 /// block_max_bytes blocks stays well under kMaxFramePayload).
 inline constexpr uint64_t kFetchBatchBlocks = 256;
 
+/// \brief Reply wait for a kFetchBlocks pull: CatchUp's per-batch wait,
+/// and how long a repair pull suppresses the next one, capped there at
+/// view_timeout_ms (a lost request or reply is retried once it passes).
+inline constexpr uint64_t kFetchWaitMs = 5000;
+
 struct ClusterOptions {
   /// When > 0, the leader proposes by itself (see the file comment): a
   /// submission waits at most the batching window (3 ms, capped at this
@@ -73,10 +78,6 @@ struct ClusterOptions {
   /// bound on how long a pooled transaction waits while the leader is
   /// idle. 0: the caller proposes.
   uint64_t propose_tick_ms = 0;
-  /// Reply wait for a kFetchBlocks pull: CatchUp's per-batch wait, and
-  /// how long a repair pull suppresses the next one, capped there at
-  /// view_timeout_ms (a lost request or reply is retried once it passes).
-  uint64_t fetch_wait_ms = 5000;
   /// Leader heartbeat cadence. 0 disables the failure detector entirely
   /// (tests then drive elections explicitly via StartViewChange).
   uint64_t heartbeat_ms = 0;
@@ -224,10 +225,10 @@ class ClusterNode {
   /// releases it at once and is returned.
   Status FetchBlocksLocked(uint32_t peer, uint64_t from, uint64_t to, uint64_t wait_ms);
   /// \brief How long a repair pull (gap, stalled tip, leader pull, new
-  /// leader behind) stays outstanding: fetch_wait_ms, but no longer than
+  /// leader behind) stays outstanding: kFetchWaitMs, but no longer than
   /// view_timeout_ms, the cadence the leader retransmits at.
   uint64_t RepairWaitMs() const {
-    return std::min(options_.fetch_wait_ms, options_.view_timeout_ms);
+    return std::min(kFetchWaitMs, options_.view_timeout_ms);
   }
   /// \brief Broadcasts this node's kViewChange for target_view and, when
   /// it leads target_view with quorum, completes the election.

@@ -13,11 +13,6 @@ namespace confide::net {
 
 namespace {
 
-/// Outbound connect attempts per Send, and the backoff before the second
-/// (it doubles per retry).
-constexpr uint32_t kConnectAttempts = 3;
-constexpr uint64_t kConnectBackoffMs = 10;
-
 struct NetMetrics {
   metrics::Counter* send = metrics::GetCounter("net.send.count");
   metrics::Counter* send_bytes = metrics::GetCounter("net.send.bytes");
@@ -275,50 +270,40 @@ Result<std::shared_ptr<TcpTransport::Connection>> TcpTransport::OutboundTo(
   }
   CONFIDE_ASSIGN_OR_RETURN(auto host_port, SplitHostPort(options_.peers[peer]));
 
-  uint64_t backoff_ms = kConnectBackoffMs;
-  Status last = Status::Unavailable("tcp transport: no connect attempt made");
-  for (uint32_t attempt = 0; attempt < kConnectAttempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms *= 2;
-    }
-    if (fault::FaultInjector::Global().ShouldFail("fault.net.connect.fail")) {
-      std::lock_guard<std::mutex> lock(mu_);
-      injected_connect_fail_ = true;
-      last = Status::Unavailable("tcp transport: injected connect failure");
-      NetMetrics::Get().conn_error->Increment();
-      continue;
-    }
-    auto fd = Dial(host_port.first, host_port.second);
-    if (!fd.ok()) {
-      last = fd.status();
-      NetMetrics::Get().conn_error->Increment();
-      continue;
-    }
-    NetMetrics::Get().conn_connect->Increment();
-
-    auto conn = std::make_shared<Connection>(std::move(*fd));
-    conn->peer_id.store(peer, std::memory_order_relaxed);
-    // Identify ourselves. The hello is part of connection establishment
-    // and bypasses the send fault sites (they model frame loss on an
-    // established link). Nothing else holds `conn` yet: no write lock.
-    if (!conn->Write(EncodeFrame(MsgType::kHello,
-                                 HelloBody(options_.self_id, PeerRole::kNode)))) {
-      last = Status::Unavailable("tcp transport: hello write failed");
-      NetMetrics::Get().conn_error->Increment();
-      continue;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (std::exchange(injected_connect_fail_, false)) {
-        fault::NoteRecovered("fault.net.connect.fail");
-      }
-      outbound_[peer] = conn;
-      if (running_.load(std::memory_order_relaxed)) SpawnReader(conn);
-    }
-    return conn;
+  // One dial per call, on the caller's thread: a refused dial fails this
+  // Send at once and the next Send dials again.
+  if (fault::FaultInjector::Global().ShouldFail("fault.net.connect.fail")) {
+    std::lock_guard<std::mutex> lock(mu_);
+    injected_connect_fail_ = true;
+    NetMetrics::Get().conn_error->Increment();
+    return Status::Unavailable("tcp transport: injected connect failure");
   }
-  return last;
+  auto fd = Dial(host_port.first, host_port.second);
+  if (!fd.ok()) {
+    NetMetrics::Get().conn_error->Increment();
+    return fd.status();
+  }
+  NetMetrics::Get().conn_connect->Increment();
+
+  auto conn = std::make_shared<Connection>(std::move(*fd));
+  conn->peer_id.store(peer, std::memory_order_relaxed);
+  // Identify ourselves. The hello is part of connection establishment
+  // and bypasses the send fault sites (they model frame loss on an
+  // established link). Nothing else holds `conn` yet: no write lock.
+  if (!conn->Write(EncodeFrame(MsgType::kHello,
+                               HelloBody(options_.self_id, PeerRole::kNode)))) {
+    NetMetrics::Get().conn_error->Increment();
+    return Status::Unavailable("tcp transport: hello write failed");
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (std::exchange(injected_connect_fail_, false)) {
+      fault::NoteRecovered("fault.net.connect.fail");
+    }
+    outbound_[peer] = conn;
+    if (running_.load(std::memory_order_relaxed)) SpawnReader(conn);
+  }
+  return conn;
 }
 
 Status TcpTransport::WriteFrame(Connection* conn, uint32_t peer, MsgType type,

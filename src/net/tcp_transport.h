@@ -7,14 +7,16 @@
 /// node peers); connections that never send kHello are client/gateway
 /// connections and see only the request/reply plane. Outbound peer
 /// connections are established lazily on first Send and re-established
-/// on failure. Writes loop over short writes; reads feed a FrameAssembler
+/// on failure: one dial per Send, with no backoff, so a Send to a peer
+/// that refuses connections fails at once and the next Send redials. Writes loop over short writes; reads feed a FrameAssembler
 /// so a frame split at any byte boundary reassembles. A corrupt inbound
 /// stream (oversized/garbled/truncated frame) closes the connection —
 /// framing cannot resynchronize inside a corrupt byte stream — and the
 /// next Send to that peer reconnects.
 ///
 /// Fault-injection sites (chaos suite, docs/METRICS.md appendix):
-///   fault.net.connect.fail   outbound connect fails (retry recovers)
+///   fault.net.connect.fail   outbound connect fails (the next Send
+///                            redials)
 ///   fault.net.send.drop      frame silently not written
 ///   fault.net.send.truncate  half the frame written, then the
 ///                            connection is closed (peer sees a stream
@@ -83,7 +85,7 @@ class TcpTransport : public Transport {
   void SpawnReader(std::shared_ptr<Connection> conn);
   void ReadLoop(std::shared_ptr<Connection> conn);
   /// \brief Returns the established outbound connection to `peer`,
-  /// dialing (with retry/backoff + kHello) when absent.
+  /// dialing once (+ kHello) when absent.
   Result<std::shared_ptr<Connection>> OutboundTo(uint32_t peer);
   /// \brief Writes one whole frame to `conn`, honoring fault sites and
   /// looping over short writes.

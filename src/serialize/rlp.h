@@ -98,9 +98,6 @@ class RlpWriter {
   void WriteString(std::string_view s) { WriteBytes(AsByteView(s)); }
   void WriteU64(uint64_t v);
 
-  /// \brief Splices an already-encoded RLP item verbatim.
-  void WriteRaw(ByteView encoded_item) { Append(&buf_, encoded_item); }
-
   /// \brief Opens a list; returns the mark to pass to EndList.
   size_t BeginList() { return buf_.size(); }
 

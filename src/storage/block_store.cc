@@ -4,6 +4,15 @@
 
 namespace confide::storage {
 
+namespace {
+
+/// Cloud-SSD write model: fixed submission+commit latency per block
+/// write, plus a throughput-dependent cost per KiB.
+constexpr uint64_t kSsdWriteLatencyNs = 6'000'000;
+constexpr uint64_t kSsdWriteNsPerKib = 4'000;
+
+}  // namespace
+
 std::string BlockStore::HeightKey(uint64_t height) {
   uint8_t be[8];
   StoreBe64(be, height);
@@ -20,8 +29,8 @@ Status BlockStore::StageAppend(uint64_t height, const crypto::Hash256& hash,
     return Status::InvalidArgument("non-contiguous block height");
   }
   if (clock_ != nullptr) {
-    clock_->AdvanceNs(ssd_.write_latency_ns +
-                      ssd_.write_ns_per_kib * (block.size() / 1024));
+    clock_->AdvanceNs(kSsdWriteLatencyNs +
+                      kSsdWriteNsPerKib * (block.size() / 1024));
   }
   uint8_t be[8];
   StoreBe64(be, height);

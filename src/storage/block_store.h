@@ -14,21 +14,14 @@
 
 namespace confide::storage {
 
-/// \brief Disk latency model charged against a SimClock on block writes.
-struct SsdModel {
-  /// Fixed submission+commit latency per block write (ns). 6 ms default.
-  uint64_t write_latency_ns = 6'000'000;
-  /// Throughput-dependent extra cost (ns per KiB).
-  uint64_t write_ns_per_kib = 4'000;
-};
-
 /// \brief Stores serialized blocks addressable by height and by hash.
 class BlockStore {
  public:
-  /// \brief `clock` may be null to disable latency modelling.
-  BlockStore(std::shared_ptr<KvStore> kv, SimClock* clock = nullptr,
-             SsdModel ssd = SsdModel{})
-      : kv_(std::move(kv)), clock_(clock), ssd_(ssd) {}
+  /// \brief `clock` may be null to disable latency modelling. Each block
+  /// write charges it the cloud-SSD model: 6 ms per write plus 4 µs per
+  /// KiB.
+  explicit BlockStore(std::shared_ptr<KvStore> kv, SimClock* clock = nullptr)
+      : kv_(std::move(kv)), clock_(clock) {}
 
   /// \brief Appends a block. Heights must be contiguous from 0.
   Status Append(uint64_t height, const crypto::Hash256& hash, Bytes block);
@@ -61,7 +54,6 @@ class BlockStore {
 
   std::shared_ptr<KvStore> kv_;
   SimClock* clock_;
-  SsdModel ssd_;
   mutable std::mutex mutex_;
   uint64_t next_height_ = 0;  ///< durable
 };

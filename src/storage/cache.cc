@@ -97,13 +97,6 @@ void RowCache::Invalidate(const std::string& key) {
   m.entries->Set(int64_t(lru_.size()));
 }
 
-void RowCache::Clear() {
-  lru_.Clear();
-  bytes_ = 0;
-  CacheMetrics::Get().bytes->Set(0);
-  CacheMetrics::Get().entries->Set(0);
-}
-
 size_t ResolveCacheBudget(const std::optional<size_t>& configured,
                           size_t fallback_mb) {
   if (configured.has_value()) return *configured;

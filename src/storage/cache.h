@@ -51,8 +51,6 @@ class RowCache {
   /// \brief Coherence hook: drops the row for a written key.
   void Invalidate(const std::string& key);
 
-  void Clear();
-
   size_t bytes() const { return bytes_; }
   size_t entries() const { return lru_.size(); }
   size_t budget() const { return budget_; }

@@ -6,6 +6,8 @@
 /// CONFIDE only sees this interface: contract states and transactions land
 /// here, encrypted or plain according to the confidentiality model, and a
 /// malicious host is assumed to read the raw database freely (§3.3).
+/// LsmKvStore (storage/lsm_store.h) is the implementation this repository
+/// ships; another backend implements every pure virtual below.
 
 #pragma once
 
@@ -89,11 +91,9 @@ class KvStore {
   /// \brief Iterator over a consistent snapshot taken at call time.
   virtual std::unique_ptr<KvIterator> NewIterator() const = 0;
 
-  /// \brief Pins a consistent read view. The base implementation
-  /// materializes the whole store through NewIterator (correct for any
-  /// backend); LSM-style stores override it with a cheap
-  /// sequence-pinned structure share.
-  virtual std::unique_ptr<KvSnapshot> GetSnapshot() const;
+  /// \brief Pins a consistent read view (LsmKvStore: a cheap
+  /// sequence-pinned structure share, not a copy).
+  virtual std::unique_ptr<KvSnapshot> GetSnapshot() const = 0;
 
   /// \brief Approximate number of live keys.
   virtual size_t ApproximateCount() const = 0;

@@ -204,13 +204,16 @@ std::shared_ptr<SortedRun> FreezeMemtable(const MemTable& mem) {
   return std::make_shared<SortedRun>(std::move(entries), BloomFilter{});
 }
 
+/// Bloom sizing of every run (~0.8% false-positive rate).
+constexpr size_t kBloomBitsPerKey = 10;
+
 BloomFilter MaybeBuildBloom(const std::vector<RunEntry>& entries,
                             const LsmOptions& options) {
   if (!options.enable_bloom) return {};
   std::vector<std::string_view> keys;
   keys.reserve(entries.size());
   for (const RunEntry& entry : entries) keys.emplace_back(entry.key);
-  return BloomFilter::Build(keys, options.bloom_bits_per_key);
+  return BloomFilter::Build(keys, kBloomBitsPerKey);
 }
 
 }  // namespace

@@ -42,10 +42,9 @@ struct LsmOptions {
   size_t max_runs = 6;
   /// Directory for the WAL and SSTables; empty string = volatile store.
   std::string wal_dir;
-  /// Build a bloom filter per run and consult it before binary search.
+  /// Build a bloom filter per run (10 bits per key, ~0.8% false-positive
+  /// rate) and consult it before binary search.
   bool enable_bloom = true;
-  /// Bloom sizing (~0.8% false-positive rate at 10).
-  size_t bloom_bits_per_key = 10;
   /// Row-cache budget in bytes. Unset = `CONFIDE_STORAGE_CACHE_MB`
   /// megabytes (default 64). Zero disables the cache.
   std::optional<size_t> cache_bytes;

@@ -27,10 +27,6 @@ const crypto::KeyPair& RootKeyPair() {
 
 }  // namespace
 
-const crypto::PublicKey& AttestationRoot::RootPublicKey() {
-  return RootKeyPair().pub;
-}
-
 crypto::Signature AttestationRoot::CertifyPlatformKey(
     const crypto::PublicKey& platform_key) {
   crypto::Sha256 ctx;

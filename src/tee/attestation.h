@@ -55,9 +55,6 @@ struct Quote {
 /// attestation service). A process-wide deterministic key pair.
 class AttestationRoot {
  public:
-  /// \brief The root verification key every verifier trusts.
-  static const crypto::PublicKey& RootPublicKey();
-
   /// \brief Certifies a platform attestation key (provisioning).
   static crypto::Signature CertifyPlatformKey(const crypto::PublicKey& platform_key);
 

@@ -172,8 +172,6 @@ Result<uint64_t> EnclaveContext::CounterRead(std::string_view family) {
   return platform_->CounterRead(enclave_id_, family);
 }
 
-EpcManager* EnclaveContext::epc() { return &platform_->epc_; }
-
 // ---------------------------------------------------------------------------
 // EnclavePlatform
 // ---------------------------------------------------------------------------
@@ -353,13 +351,6 @@ bool EnclavePlatform::VerifyLocalReport(const LocalReport& report) const {
                                             report.security_version,
                                             report.user_data);
   return ConstantTimeEqual(crypto::HashView(expected), crypto::HashView(report.mac));
-}
-
-Result<Measurement> EnclavePlatform::GetMeasurement(EnclaveId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = enclaves_.find(id);
-  if (it == enclaves_.end()) return Status::NotFound("unknown enclave");
-  return it->second.measurement;
 }
 
 void EnclavePlatform::PushMonitor(const MonitorRecord& record) {

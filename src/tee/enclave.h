@@ -113,10 +113,6 @@ class EnclaveContext {
   /// ablation benchmark).
   void MonitorEmitViaOcall(uint32_t severity, std::string_view message);
 
-  /// \brief EPC allocator for in-enclave memory. Allocations count against
-  /// the platform-wide EPC budget.
-  EpcManager* epc();
-
   EnclaveId enclave_id() const { return enclave_id_; }
   EnclavePlatform* platform() { return platform_; }
 
@@ -194,9 +190,6 @@ class EnclavePlatform {
 
   /// \brief Verifies a local report produced on this platform.
   bool VerifyLocalReport(const LocalReport& report) const;
-
-  /// \brief Returns an enclave's measurement.
-  Result<Measurement> GetMeasurement(EnclaveId id) const;
 
   /// \brief Drains pending monitor records (host polling thread).
   std::vector<MonitorRecord> DrainMonitor();

@@ -63,7 +63,6 @@ Result<EpcRegionId> EpcManager::Allocate(uint64_t bytes) {
   region.lru_pos = lru_.begin();
   regions_[id] = region;
   resident_pages_ += pages;
-  total_pages_ += pages;
   return id;
 }
 
@@ -77,7 +76,6 @@ Status EpcManager::Free(EpcRegionId id) {
     lru_.erase(it->second.lru_pos);
     resident_pages_ -= it->second.pages;
   }
-  total_pages_ -= it->second.pages;
   regions_.erase(it);
   return Status::OK();
 }
@@ -113,11 +111,6 @@ Status EpcManager::Touch(EpcRegionId id) {
 uint64_t EpcManager::ResidentBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return resident_pages_ * model_.page_size;
-}
-
-uint64_t EpcManager::AllocatedBytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return total_pages_ * model_.page_size;
 }
 
 }  // namespace confide::tee

@@ -46,9 +46,6 @@ class EpcManager {
   /// \brief Currently resident bytes.
   uint64_t ResidentBytes() const;
 
-  /// \brief Total bytes of live (resident or evicted) regions.
-  uint64_t AllocatedBytes() const;
-
  private:
   struct Region {
     uint64_t pages = 0;
@@ -68,7 +65,6 @@ class EpcManager {
   std::unordered_map<EpcRegionId, Region> regions_;
   std::list<EpcRegionId> lru_;  // front = most recent
   uint64_t resident_pages_ = 0;
-  uint64_t total_pages_ = 0;
   EpcRegionId next_id_ = 1;
 };
 

@@ -94,8 +94,6 @@ class ModuleBuilder {
     data_.emplace_back(offset, std::move(bytes));
   }
 
-  void SetMemoryBytes(uint32_t bytes) { memory_bytes_ = bytes; }
-
   /// \brief Produces the decoded module (and via EncodeModule, wire bytes).
   Module Finish() const;
 

@@ -8,6 +8,15 @@
 
 namespace confide::vm::cvm {
 
+namespace {
+
+/// Maximum value-stack depth of one execution.
+constexpr uint32_t kMaxStack = 64 * 1024;
+/// Maximum call depth of one execution (intra-module).
+constexpr uint32_t kMaxIntraCallDepth = 256;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // CvmInstance
 // ---------------------------------------------------------------------------
@@ -128,19 +137,9 @@ std::vector<HostFunction> StandardHostFunctions() {
 
 CvmVm::CvmVm() : host_functions_(StandardHostFunctions()) {}
 
-uint32_t CvmVm::RegisterHost(HostFunction fn) {
-  host_functions_.push_back(std::move(fn));
-  return uint32_t(host_functions_.size() - 1);
-}
-
 CvmStats CvmVm::stats() const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
   return stats_;
-}
-
-void CvmVm::ResetStats() {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  stats_ = CvmStats{};
 }
 
 Result<std::shared_ptr<const Module>> CvmVm::LoadModule(ByteView wire,
@@ -275,7 +274,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
         break;
       }
       case Op::kCall: {
-        if (frames.size() >= config.max_call_depth) return trap("call depth exceeded");
+        if (frames.size() >= kMaxIntraCallDepth) return trap("call depth exceeded");
         const Function& callee = module.functions[instr.a];
         if (stack.size() < frame.stack_base + callee.param_count) {
           return trap("call with insufficient arguments");
@@ -334,7 +333,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
         break;
       }
       case Op::kI64Const:
-        if (stack.size() >= config.max_stack) return trap("value stack overflow");
+        if (stack.size() >= kMaxStack) return trap("value stack overflow");
         stack.push_back(instr.a);
         break;
       case Op::kLocalGet:
@@ -506,7 +505,7 @@ Result<ExecutionResult> CvmVm::ExecuteModule(const Module& module,
         break;
       }
     }
-    if (stack.size() > config.max_stack) return trap("value stack overflow");
+    if (stack.size() > kMaxStack) return trap("value stack overflow");
   }
 
   ExecutionResult result;

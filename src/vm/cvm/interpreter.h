@@ -34,7 +34,7 @@ struct HostFunction {
 };
 
 /// \brief Well-known host function indices (the CCL compiler hard-codes
-/// these; keep in sync with RegisterStandardHostFunctions()).
+/// these; keep in sync with StandardHostFunctions()).
 enum HostFn : uint64_t {
   kHostGetStorage = 0,   ///< (key_ptr, key_len, val_ptr, val_cap) -> len
   kHostSetStorage = 1,   ///< (key_ptr, key_len, val_ptr, val_len) -> 0
@@ -101,11 +101,7 @@ class CvmVm {
                                         ByteView input, HostEnv* env,
                                         const ExecConfig& config);
 
-  /// \brief Registers a custom host function; returns its index.
-  uint32_t RegisterHost(HostFunction fn);
-
   CvmStats stats() const;
-  void ResetStats();
 
  private:
   Result<std::shared_ptr<const Module>> LoadModule(ByteView wire, const ExecConfig& config);

@@ -50,10 +50,6 @@ struct ExecConfig {
   bool enable_code_cache = true;
   /// OPT4: superinstruction fusion + reduced dispatch table.
   bool enable_fusion = true;
-  /// Maximum value-stack depth.
-  uint32_t max_stack = 64 * 1024;
-  /// Maximum call depth (intra-module).
-  uint32_t max_call_depth = 256;
 };
 
 }  // namespace confide::vm

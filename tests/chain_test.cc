@@ -1118,7 +1118,7 @@ TEST(SyncTest, RotationReachesLiveProviderBehindDeadOnes) {
   auto joiner = Node::Create(NodeOptions{}, engines_b);
   ASSERT_TRUE(joiner.ok());
   SyncOptions options;
-  ASSERT_EQ(options.retry.max_attempts, 4u);  // the failing configuration
+  ASSERT_EQ(kSyncRetry.max_attempts, 4u);  // the failing configuration
   StateSyncClient client(joiner->get(), &validators, std::move(options));
   std::vector<std::unique_ptr<SyncProvider>> providers;
   for (int i = 0; i < 5; ++i) {

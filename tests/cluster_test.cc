@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -236,7 +238,7 @@ TEST_F(SimClusterTest, PartitionedReplicaRepairsGapViaFetch) {
 
 TEST_F(SimClusterTest, LostFetchReplyIsRetriedAfterFetchWait) {
   // Regression: a gap-repair pull whose reply is lost must not switch
-  // repair off for good. Once fetch_wait_ms passes on the transport clock
+  // repair off for good. Once kFetchWaitMs passes on the transport clock
   // the next trigger pulls again, and the replica converges.
   const Bytes code = CounterCode();
   chain::Address addr = NamedAddress("sim.lost-fetch");
@@ -269,7 +271,7 @@ TEST_F(SimClusterTest, LostFetchReplyIsRetriedAfterFetchWait) {
   sim.HealPartitions();
   EXPECT_LT(nodes[2]->Height(), nodes[0]->Height());
 
-  const uint64_t fetch_wait_ns = ClusterOptions{}.fetch_wait_ms * 1'000'000;
+  const uint64_t fetch_wait_ns = kFetchWaitMs * 1'000'000;
   hub.RunUntil(hub.now_ns() + fetch_wait_ns + 1'000'000);
   EXPECT_FALSE(nodes[2]->fetch_in_flight_for_test());
   submit("increment", Bytes{});
@@ -1052,7 +1054,7 @@ TEST_F(TcpClusterTest, LateReplicaCatchesUpFromLivePeer) {
 TEST_F(TcpClusterTest, CatchUpFailureReleasesFetchLatch) {
   // Regression: a CatchUp whose peer dies before the request leaves must
   // release the fetch latch at once, or gap-repair pulls stay suppressed
-  // for fetch_wait_ms.
+  // for kFetchWaitMs.
   peers_ = {"127.0.0.1:" + std::to_string(PickPort()),
             "127.0.0.1:" + std::to_string(PickPort())};
   systems_.resize(2);
@@ -1388,6 +1390,63 @@ TEST_F(TcpClusterTest, SubmitToIdleLeaderGetsItsReceiptBeforeTheBeat) {
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(200))
       << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count() << " ms";
+}
+
+TEST_F(TcpClusterTest, OneStoppedReplicaAddsNothingToCommitLatency) {
+  // PBFT's 2f + 1 live replicas keep committing while f are down. Every
+  // round still sends to the stopped replica, so each of those Sends must
+  // fail at once instead of stalling the round.
+  base_options_.heartbeat_ms = 100;
+  StartCluster(4);
+  Client client(99, systems_[0]->pk_tx());
+  const chain::Address addr = NamedAddress("tcp.dead-replica");
+  auto frames = FrameClient::Dial(peers_[0]);
+  ASSERT_TRUE(frames.ok()) << frames.status().ToString();
+
+  // Submit → receipt on the leader, in ns; -1 on a failed submit or a
+  // receipt that never lands.
+  const auto commit_ns = [&](const chain::Transaction& tx) -> int64_t {
+    const crypto::Hash256 hash = tx.Hash();
+    const auto start = std::chrono::steady_clock::now();
+    auto ack = frames->Call(MsgType::kSubmitTx, tx.Serialize());
+    if (!ack.ok() || ack->type != MsgType::kSubmitTxAck) return -1;
+    while (!systems_[0]->node()->GetReceipt(hash).ok()) {
+      if (std::chrono::steady_clock::now() - start > std::chrono::seconds(10)) {
+        return -1;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  // p50 in ms of `txs` sequential increments; -1 if any failed.
+  const auto p50_ms = [&](size_t txs) -> double {
+    std::vector<int64_t> samples;
+    for (size_t i = 0; i < txs; ++i) {
+      const int64_t ns = commit_ns(client.MakePublicTx(addr, "increment", Bytes{}));
+      if (ns < 0) return -1;
+      samples.push_back(ns);
+    }
+    std::nth_element(samples.begin(), samples.begin() + txs / 2, samples.end());
+    return double(samples[txs / 2]) / 1e6;
+  };
+
+  ASSERT_GE(commit_ns(client.MakePublicTx(addr, "__deploy__",
+                                          DeployPayload(CounterCode()))),
+            0);
+  const double all_up = p50_ms(40);
+  ASSERT_GE(all_up, 0);
+  nodes_[3]->Stop();
+  const double one_stopped = p50_ms(40);
+  ASSERT_GE(one_stopped, 0);
+  std::printf("commit p50: all up %.1f ms, node 3 stopped %.1f ms\n", all_up,
+              one_stopped);
+  EXPECT_LT(one_stopped - all_up, 20.0);
+  ASSERT_TRUE(WaitFor([&] {
+    return nodes_[1]->Height() == nodes_[0]->Height() &&
+           nodes_[2]->Height() == nodes_[0]->Height();
+  }));
 }
 
 /// A one-node TcpTransport on a free port whose timer counts its ticks.

@@ -551,7 +551,7 @@ TEST_F(EnclaveRecoveryTest, InjectedProvisionFailureRetriesWithBackoff) {
     ASSERT_TRUE(sys->RecoverConfidentialEngine().ok());
   }
   // The failed first attempt cost one (modelled) backoff interval.
-  EXPECT_GE(sys->clock()->NowNs() - clock_before, options.recover_backoff_ns);
+  EXPECT_GE(sys->clock()->NowNs() - clock_before, core::kRecoverBackoffNs);
   metrics::MetricsSnapshot snap = metrics::MetricsRegistry::Global().Snapshot();
   EXPECT_GE(snap.counter("fault.confide.provision.injected"), 1u);
   EXPECT_GE(snap.counter("fault.confide.provision.recovered"), 1u);
@@ -1819,19 +1819,23 @@ TEST(NetChaosTest, TruncatedSendHealsOnReconnect) {
   EXPECT_GT(recovered->Value(), recovered_before);
 }
 
-TEST(NetChaosTest, ConnectFailureRetriesAndRecovers) {
+TEST(NetChaosTest, ConnectFailureFailsOneSendAndTheNextRedials) {
   NetChaosTcpPair pair;
   auto* recovered = metrics::GetCounter("fault.net.connect.fail.recovered");
   const uint64_t recovered_before = recovered->Value();
   {
     FaultPlan plan(ChaosSeed());
     plan.Arm("fault.net.connect.fail", Trigger{.one_shot = true});
-    // First connect attempt fails by injection; the in-call retry loop
-    // dials again and the frame still arrives.
-    ASSERT_TRUE(pair.at(0).Send(1, MsgType::kCommit, NetBody("retried")).ok());
+    // The only dial of this Send fails by injection: the frame is lost
+    // and the Send says so at once.
+    EXPECT_FALSE(pair.at(0).Send(1, MsgType::kCommit, NetBody("lost")).ok());
     EXPECT_EQ(FaultInjector::Global().FiredCount("fault.net.connect.fail"), 1u);
+    EXPECT_EQ(recovered->Value(), recovered_before);
+    // The next Send dials again and delivers.
+    ASSERT_TRUE(pair.at(0).Send(1, MsgType::kCommit, NetBody("redialed")).ok());
   }
-  ASSERT_TRUE(NetWaitFor([&] { return pair.Received(1, NetBody("retried")); }));
+  ASSERT_TRUE(NetWaitFor([&] { return pair.Received(1, NetBody("redialed")); }));
+  EXPECT_FALSE(pair.Received(1, NetBody("lost")));
   EXPECT_GT(recovered->Value(), recovered_before);
 }
 
@@ -2478,7 +2482,7 @@ TEST(ConsensusFaultTest, LossyJitteredLinksAreDeterministicPerHubSeed) {
       c.Submit(uint32_t(view % 7), "increment");
       for (int ms = 0; ms < 300; ++ms) step();
     }
-    // Settle: long enough for a lost pull to pass fetch_wait_ms and retry.
+    // Settle: long enough for a lost pull to pass kFetchWaitMs and retry.
     const auto converged = [&] {
       for (auto& node : c.nodes) {
         if (node->Height() != h1 + 6 || node->TipHash() != c.nodes[0]->TipHash()) {

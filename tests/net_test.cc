@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -755,6 +756,34 @@ TEST_F(TcpPairTest, SendToSelfOrUnknownPeerRejected) {
   ASSERT_TRUE(t0_->Start().ok());
   EXPECT_FALSE(t0_->Send(0, MsgType::kPrepare, AsByteView("x")).ok());
   EXPECT_FALSE(t0_->Send(9, MsgType::kPrepare, AsByteView("x")).ok());
+}
+
+TEST(TcpTransportTest, SendToARefusingPeerFailsWithoutSleeping) {
+  // Peer 1's port has no listener: every dial is refused. A Send makes
+  // one dial and fails at once, without sleeping on the caller's thread
+  // (which may hold the consensus lock); the next Send dials again.
+  TcpTransportOptions options;
+  options.self_id = 0;
+  options.peers = {"127.0.0.1:" + std::to_string(PickPort()),
+                   "127.0.0.1:" + std::to_string(PickPort())};
+  options.listen_host = "127.0.0.1";
+  TcpTransport t0(options);
+  ASSERT_TRUE(t0.Start().ok());
+
+  auto* conn_error = metrics::GetCounter("net.conn.error.count");
+  const uint64_t errors_before = conn_error->Value();
+  constexpr int kSends = 3;
+  auto fastest = std::chrono::steady_clock::duration::max();
+  for (int i = 0; i < kSends; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(t0.Send(1, MsgType::kPrepare, AsByteView("x")).ok());
+    fastest = std::min(fastest, std::chrono::steady_clock::now() - start);
+  }
+  // The fastest of a few Sends, so one descheduling on a busy host does
+  // not decide the verdict.
+  EXPECT_LT(fastest, std::chrono::milliseconds(10));
+  EXPECT_EQ(conn_error->Value() - errors_before, uint64_t(kSends));
+  t0.Stop();
 }
 
 TEST_F(TcpPairTest, ConnectionDropMidFrameCountsCorruption) {
